@@ -1,10 +1,37 @@
-"""Small numeric helpers: compensated summation and guarded integer splits."""
+"""Small numeric helpers: range checks, compensated summation and guarded integer splits."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .errors import ValidationError
+
+# Neighbouring floats that turn an open lower end (lo, ...) or a closed upper
+# end (..., hi] into the half-open form check_range takes, exactly.
+ABOVE_ZERO = math.ulp(0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+def check_range(name: str, x: float, lo: float, hi: float, shown: str = "") -> None:
+    """Raise ValidationError unless lo <= x < hi.
+
+    Written as one negated chain so NaN, which fails every comparison, is
+    rejected, and so is +inf even when ``hi`` is inf.  ``shown`` is the
+    interval as the message prints it, for bounds given as ABOVE_ZERO or
+    ABOVE_ONE; by default the message prints [lo, hi).
+    """
+    if not (lo <= x < hi):
+        raise ValidationError(f"{name}: must lie in {shown or f'[{lo}, {hi})'}, got {x}")
+
+
+def check_budgets(eps: float, delta: float) -> None:
+    """Error and overflow budgets each lie in [0, 1), and so does their sum."""
+    check_range("eps", eps, 0, 1)
+    check_range("delta", delta, 0, 1)
+    check_range("eps+delta", eps + delta, 0, 1)
+
 
 # Relative guard for sequence-granularity splits.  Mass ratios that land within
 # this distance of an exact integer (a common artifact of decimal probability

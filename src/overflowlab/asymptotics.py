@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
-from scipy.special import ndtri
-
+from ._util import ABOVE_ONE, ABOVE_ZERO, check_budgets, check_range
 from .codes import optimal_threshold
-from .errors import ValidationError
 from .sources import Distribution, SwitchingSchedule, iid_spectrum, switching_spectrum
 
 __all__ = [
@@ -46,21 +45,17 @@ def q_upper(x: float) -> float:
 
 
 def q_upper_inv(gamma: float) -> float:
-    """Inverse of ``q_upper`` on [0, 1]; the endpoints map to +inf and -inf."""
-    if not (0.0 <= gamma <= 1.0):
-        raise ValidationError(f"gamma: tail mass must lie in [0, 1], got {gamma}")
+    """Inverse of ``q_upper`` on [0, 1]; the endpoints map to +inf and -inf.
+
+    The interior uses the standard library's normal quantile (Wichura's
+    AS241), which agrees with a 30-digit reference to about 1e-15 relative.
+    """
+    check_range("gamma", gamma, 0, ABOVE_ONE, "[0, 1]")
     if gamma == 0.0:
         return math.inf
     if gamma == 1.0:
         return -math.inf
-    return float(-ndtri(gamma))
-
-
-def _check_budgets(eps: float, delta: float) -> None:
-    if eps < 0.0 or delta < 0.0:
-        raise ValidationError(f"eps/delta: budgets must be nonnegative, got {eps}, {delta}")
-    if eps + delta >= 1.0:
-        raise ValidationError(f"eps+delta: combined budget must be < 1, got {eps + delta}")
+    return -NormalDist().inv_cdf(gamma)
 
 
 def second_order_threshold(d: Distribution, rate: float, eps: float,
@@ -73,7 +68,7 @@ def second_order_threshold(d: Distribution, rate: float, eps: float,
     treated as exactly critical, since double precision cannot tell them
     apart through the spectrum anyway.
     """
-    _check_budgets(eps, delta)
+    check_budgets(eps, delta)
     h = entropy(d)
     if abs(rate - h) <= 1e-12:
         v = varentropy(d)
@@ -92,8 +87,7 @@ def mean_length_constants(d: Distribution, eps: float) -> tuple[float, float]:
     constant is strictly negative for eps in (0, 1) whenever V > 0 and tends
     to 0 as eps -> 0 (no error budget, no square-root savings).
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValidationError(f"eps: must lie in [0, 1), got {eps}")
+    check_range("eps", eps, 0, 1)
     h = entropy(d)
     v = varentropy(d)
     first = (1.0 - eps) * h
@@ -112,7 +106,7 @@ def second_order_at_mean_length(d: Distribution, eps: float, delta: float) -> fl
     the mean-length rate sits strictly below the entropy, so the centered
     threshold diverges: overflow thresholds track H*n, not the mean.
     """
-    _check_budgets(eps, delta)
+    check_budgets(eps, delta)
     if eps == 0.0:
         v = varentropy(d)
         if v == 0.0:
@@ -167,11 +161,8 @@ class AsymptoticReport:
 def convergence_study(d: Distribution, eps: float, delta: float,
                       n_grid: Sequence[int]) -> AsymptoticReport:
     """Exact optimal thresholds over ``n_grid`` with their Gaussian comparison."""
-    _check_budgets(eps, delta)
-    if len(n_grid) == 0:
-        raise ValidationError("n_grid: need at least one blocklength")
-    if any(n < 1 for n in n_grid):
-        raise ValidationError("n_grid: blocklengths must be >= 1")
+    check_budgets(eps, delta)
+    check_range("least blocklength in n_grid", min(n_grid, default=0), 1, math.inf)
     h = entropy(d)
     v = varentropy(d)
     limit = 0.0 if v == 0.0 else math.sqrt(v) * q_upper_inv(eps + delta)
@@ -227,13 +218,9 @@ def optimistic_study(schedule: SwitchingSchedule, eps: float, delta: float,
     (and its tail decides the estimates), otherwise the sup and inf collapse
     onto whichever component the grid happens to sample.
     """
-    _check_budgets(eps, delta)
-    if len(n_grid) == 0:
-        raise ValidationError("n_grid: need at least one blocklength")
-    if any(n < 1 for n in n_grid):
-        raise ValidationError("n_grid: blocklengths must be >= 1")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ValidationError(f"tail_fraction: must lie in (0, 1], got {tail_fraction}")
+    check_budgets(eps, delta)
+    check_range("least blocklength in n_grid", min(n_grid, default=0), 1, math.inf)
+    check_range("tail_fraction", tail_fraction, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
     samples = []
     for n in sorted(n_grid):
         s = switching_spectrum(schedule, n)

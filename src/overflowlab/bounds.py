@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._util import count_mass
+from ._util import ABOVE_ONE, ABOVE_ZERO, check_range, count_mass
 from .codes import _decode_selection, code_overflow, construct_code, optimal_tradeoff
 from .errors import TheoremViolation, ValidationError
 from .sources import Spectrum
@@ -23,11 +23,6 @@ __all__ = [
     "BoundReport", "achievability_bound", "converse_bound",
     "first_order_slack", "second_order_slack", "sandwich_sweep",
 ]
-
-
-def _check_a_n(a_n: float) -> None:
-    if not (0.0 < a_n <= 1.0) or not math.isfinite(a_n):
-        raise ValidationError(f"a_n: slack must lie in (0, 1], got {a_n}")
 
 
 def _selection_mass_below(s: Spectrum, sel: PrefixSelection, ln_thresh: float) -> float:
@@ -55,11 +50,9 @@ def achievability_bound(s: Spectrum, eps: float, a_n: float, eta: float) -> floa
     smallest top-probability set of mass >= 1 - eps.  May exceed 1; callers
     clamp for display only.
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValidationError(f"eps: must lie in [0, 1), got {eps}")
-    _check_a_n(a_n)
-    if eta < 1:
-        raise ValidationError(f"eta: length threshold must be >= 1, got {eta}")
+    check_range("eps", eps, 0, 1)
+    check_range("a_n", a_n, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
+    check_range("eta", eta, 1, math.inf)
     sel = _decode_selection(s, eps)
     ln_thresh = selection_log_mass(s, sel) - eta * math.log(s.base) - math.log(a_n)
     return _selection_mass_below(s, sel, ln_thresh) + a_n * s.base
@@ -75,9 +68,8 @@ def converse_bound(s: Spectrum, decode_mass_target: float, a_n: float,
     least favorable choice).  A nonpositive target leaves D empty and the
     bound trivial at 0.  May be negative; callers clamp for display only.
     """
-    _check_a_n(a_n)
-    if eta < 1:
-        raise ValidationError(f"eta: length threshold must be >= 1, got {eta}")
+    check_range("a_n", a_n, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
+    check_range("eta", eta, 1, math.inf)
     if decode_mass_target > 1.0 + 1e-12:
         raise ValidationError(
             f"decode_mass_target: mass cannot exceed 1, got {decode_mass_target}")
@@ -92,15 +84,13 @@ def converse_bound(s: Spectrum, decode_mass_target: float, a_n: float,
 
 def first_order_slack(gamma: float, base: int) -> Callable[[int], float]:
     """Slack schedule a_n = K^(-n*gamma): exponentially small, for rate-scale sweeps."""
-    if gamma <= 0:
-        raise ValidationError(f"gamma: slack exponent must be positive, got {gamma}")
+    check_range("gamma", gamma, ABOVE_ZERO, math.inf, "(0, inf)")
     return lambda n: base ** (-n * gamma)
 
 
 def second_order_slack(gamma: float, base: int) -> Callable[[int], float]:
     """Slack schedule a_n = K^(-sqrt(n)*gamma), for dispersion-scale sweeps."""
-    if gamma <= 0:
-        raise ValidationError(f"gamma: slack exponent must be positive, got {gamma}")
+    check_range("gamma", gamma, ABOVE_ZERO, math.inf, "(0, inf)")
     return lambda n: base ** (-math.sqrt(n) * gamma)
 
 
@@ -148,7 +138,7 @@ def sandwich_sweep(s: Spectrum, eps: float, eta_grid: Sequence[float],
     """
     code = construct_code(s, eps)
     a_n = a_n_rule(s.n)
-    _check_a_n(a_n)
+    check_range("a_n", a_n, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
     reports = []
     for eta in eta_grid:
         upper = achievability_bound(s, eps, a_n, eta)

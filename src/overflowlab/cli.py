@@ -7,8 +7,8 @@ scalar results default to JSON; both formats are available everywhere via
 repr(), JSON keys are sorted, counts are decimal strings, and file writes
 go through a temp file and an atomic replace.
 
-Exit codes: 0 success, 2 invalid input, 3 a bound check failed, 4 a type
-ceiling was exceeded.
+Exit codes: 0 success, 2 invalid input, 3 a bound or numeric check failed,
+4 a type ceiling was exceeded.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_range
 from .asymptotics import (AsymptoticReport, OptimisticReport, convergence_study,
                           entropy, mean_length_constants, optimistic_study,
                           second_order_at_mean_length, second_order_threshold,
                           varentropy)
 from .bounds import first_order_slack, sandwich_sweep
 from .codes import construct_code, code_overflow, optimal_threshold, optimal_tradeoff, simulate_roundtrip
-from .errors import CeilingExceeded, TheoremViolation, ValidationError
+from .errors import CeilingExceeded, NumericError, TheoremViolation, ValidationError
 from .sources import (Distribution, SwitchingSchedule, iid_spectrum,
                       make_distribution, mixed_spectrum, sample_sequences,
                       switching_spectrum)
@@ -215,6 +216,15 @@ def _write_rows(args, comment: str, columns: list[str], rows: list[list],
         _write_csv(comments, columns, rows, args.out)
 
 
+def _write_scalar(args, comment: str, payload: dict) -> None:
+    """Scalar output: a JSON object, or on request one CSV row of sorted columns."""
+    if args.format == "csv":
+        columns = sorted(payload)
+        _write_csv([comment], columns, [[_jsonable(payload[k]) for k in columns]], args.out)
+    else:
+        _write_json(payload, args.out)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -249,11 +259,8 @@ def _cmd_threshold(args) -> int:
     t = optimal_threshold(s, args.eps, args.delta)
     payload = {"n": args.n, "eps": args.eps, "delta": args.delta,
                "threshold": t, "rate": t / args.n}
-    if args.format == "csv":
-        _write_csv([f"base={s.base}; threshold: string length; rate: base-{s.base} units per symbol"],
-                   list(sorted(payload)), [[_jsonable(payload[k]) for k in sorted(payload)]], args.out)
-    else:
-        _write_json(payload, args.out)
+    _write_scalar(args, f"base={s.base}; threshold: string length; "
+                        f"rate: base-{s.base} units per symbol", payload)
     return 0
 
 
@@ -348,12 +355,8 @@ def _cmd_asymptotics(args) -> int:
                 d, rate, args.eps, args.delta)
     elif args.rate is not None:
         raise ValidationError("asymptotics: --rate requires --delta")
-    if args.format == "csv":
-        cols = sorted(payload)
-        _write_csv(["entropy, rates: base-K units per symbol; varentropy: squared units"],
-                   cols, [[_jsonable(payload[k]) for k in cols]], args.out)
-    else:
-        _write_json(payload, args.out)
+    _write_scalar(args, "entropy, rates: base-K units per symbol; varentropy: squared units",
+                  payload)
     return 0
 
 
@@ -361,8 +364,7 @@ def _cmd_simulate(args) -> int:
     cfg = parse_source_config(args.source)
     if cfg.model != "iid":
         raise ValidationError("simulate: sampling is implemented for iid sources")
-    if args.samples < 1:
-        raise ValidationError(f"samples: need at least 1, got {args.samples}")
+    check_range("samples", args.samples, 1, math.inf)
     d = cfg.primary
     s = iid_spectrum(d, args.n)
     code = construct_code(s, args.eps)
@@ -373,12 +375,7 @@ def _cmd_simulate(args) -> int:
                "empirical_error": emp_err, "empirical_overflow": emp_over,
                "error_mass": code.error_mass,
                "exact_overflow": code_overflow(code, args.eta)}
-    if args.format == "csv":
-        cols = sorted(payload)
-        _write_csv(["error and overflow: probability"],
-                   cols, [[_jsonable(payload[k]) for k in cols]], args.out)
-    else:
-        _write_json(payload, args.out)
+    _write_scalar(args, "error and overflow: probability", payload)
     return 0
 
 
@@ -476,6 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact counts and string budgets at n in the tens of thousands have more
+    # decimal digits than Python's default int-to-str limit allows.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValidationError as e:
@@ -484,9 +485,14 @@ def main(argv=None) -> int:
     except TheoremViolation as e:
         print(f"bound violation: {e}", file=sys.stderr)
         return 3
+    except NumericError as e:
+        print(f"numeric check failed: {e}", file=sys.stderr)
+        return 3
     except CeilingExceeded as e:
         print(f"ceiling exceeded: {e}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import count_mass, guarded_ceil, split_count
+from ._util import check_budgets, check_range, count_mass, guarded_ceil, split_count
 from .errors import ValidationError
-from .sources import Distribution, Spectrum
+from .sources import Distribution, Spectrum, _type_classes
 from .tails import PrefixSelection, selection_log_mass, top_probability_prefix
 
 __all__ = [
@@ -84,8 +84,7 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     ceil(-log_K(P(x) / P(A))), floored at 1 since the empty string is not a
     codeword; everything else maps to the junk string and is an error.
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValidationError(f"eps: must lie in [0, 1), got {eps}")
+    check_range("eps", eps, 0, 1)
     sel = _decode_selection(s, eps)
     ln_pa = selection_log_mass(s, sel)
     ln_base = math.log(s.base)
@@ -120,8 +119,7 @@ def code_overflow(c: CodeSpec, eta: float) -> float:
     Junked sequences emit the length-1 junk string, which never overflows
     for eta >= 1.
     """
-    if eta < 1:
-        raise ValidationError(f"eta: length threshold must be >= 1, got {eta}")
+    check_range("eta", eta, 1, math.inf)
     if c.spectrum is None:
         raise ValidationError("code has no spectrum attached; overflow needs masses")
     s = c.spectrum
@@ -185,54 +183,47 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     delta_star is a step function of floor(eta): only the integer part of the
     threshold buys strings.
     """
-    if eta < 1:
-        raise ValidationError(f"eta: length threshold must be >= 1, got {eta}")
-    if not (0.0 <= eps < 1.0):
-        raise ValidationError(f"eps: must lie in [0, 1), got {eps}")
+    check_range("eta", eta, 1, math.inf)
+    check_range("eps", eps, 0, 1)
     m_budget = string_budget(s.base, math.floor(eta))
-    cum_counts = s.cumulative_counts
-    taken: dict[int, int] = {}
     if m_budget >= s.total_count:
-        delta = 0.0
-        return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=delta, budget=m_budget)
+        return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=0.0, budget=m_budget)
     # Top-M split: first atom where the running count reaches the budget.
+    cum_counts = s.cumulative_counts
     b = bisect.bisect_left(cum_counts, m_budget)
-    for i in range(b):
-        taken[i] = s.atoms[i].count
-    before = cum_counts[b - 1] if b else 0
-    taken[b] = m_budget - before
-    # Error budget: junk the heaviest sequences that still fit, heaviest first.
+    # Error budget: junk the heaviest sequences that still fit, heaviest first;
+    # what is neither decoded nor junked overflows.  Only the undecoded count
+    # of each atom is kept, so a junked atom costs no big-integer copy.
     left = eps
+    over = []
     for i in range(b, len(s.atoms)):
-        if left <= 0.0:
-            break
-        avail = s.atoms[i].count - taken.get(i, 0)
-        if avail <= 0:
-            continue
-        lp = s.atoms[i].log_prob_per_seq
-        avail_mass = count_mass(avail, lp)
-        if avail_mass <= left * (1.0 + 1e-9):
-            # The whole remainder of the atom fits (up to rounding dust from
-            # earlier subtractions), so take it in one piece; this keeps the
-            # budget decrement from leaving stray mass when the tail is
-            # exactly exhaustible.
-            taken[i] = taken.get(i, 0) + avail
-            left = max(left - avail_mass, 0.0)
-            continue
-        k = split_count(math.log(left), lp, avail, "fit")
-        if k > 0:
-            taken[i] = taken.get(i, 0) + k
-            left = max(left - count_mass(k, lp), 0.0)
-    delta = _leftover_mass(s, taken)
-    return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=max(delta, 0.0), budget=m_budget)
+        atom = s.atoms[i]
+        lp = atom.log_prob_per_seq
+        avail = cum_counts[b] - m_budget if i == b else atom.count
+        if left > 0.0 and avail > 0:
+            avail_mass = count_mass(avail, lp)
+            if avail_mass <= left * (1.0 + 1e-9):
+                # The whole remainder of the atom fits (up to rounding dust
+                # from earlier subtractions), so take it in one piece; this
+                # keeps the budget decrement from leaving stray mass when the
+                # tail is exactly exhaustible.
+                left = max(left - avail_mass, 0.0)
+                continue
+            k = split_count(math.log(left), lp, avail, "fit")
+            if k > 0:
+                avail -= k
+                left = max(left - count_mass(k, lp), 0.0)
+        if avail == atom.count:
+            over.append(atom.mass)
+        elif avail > 0:
+            over.append(count_mass(avail, lp))
+    return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=max(math.fsum(over), 0.0),
+                         budget=m_budget)
 
 
 def optimal_threshold(s: Spectrum, eps: float, delta: float) -> int:
     """Least integer eta >= 1 with optimal_tradeoff(s, eta, eps).delta_star <= delta."""
-    if not (0.0 <= eps < 1.0) or delta < 0.0:
-        raise ValidationError("eps/delta: budgets must be nonnegative with eps < 1")
-    if eps + delta >= 1.0:
-        raise ValidationError(f"eps+delta: combined budget must be < 1, got {eps + delta}")
+    check_budgets(eps, delta)
 
     def ok(eta: int) -> bool:
         return optimal_tradeoff(s, eta, eps).delta_star <= delta
@@ -290,14 +281,12 @@ def _atom_type_groups(s: Spectrum, d: Distribution,
     or distinct types whose products coincide), so the within-atom order has
     to span all of them.  Returned counts are exact.
     """
-    from .sources import _compositions, _multinomial
-
     probs = np.asarray(d.probs)
     support = [i for i in range(d.alphabet_size) if probs[i] > 0.0]
     lnp = {i: math.log(probs[i]) for i in support}
     lps = s.log_probs
     groups = []
-    for comp in _compositions(s.n, len(support)):
+    for comp, count in _type_classes(s.n, [1] * len(support)):
         lp = math.fsum(k * lnp[sym] for k, sym in zip(comp, support) if k)
         j = int(np.argmin(np.abs(lps - lp)))
         if j != atom:
@@ -307,7 +296,7 @@ def _atom_type_groups(s: Spectrum, d: Distribution,
         sig = [0] * d.alphabet_size
         for k, sym in zip(comp, support):
             sig[sym] = k
-        groups.append((tuple(sig), _multinomial(s.n, comp)))
+        groups.append((tuple(sig), count))
     groups.sort(key=lambda g: g[0])
     return groups
 
@@ -334,6 +323,7 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
     """
     if c.spectrum is None:
         raise ValidationError("code has no spectrum attached")
+    check_range("eta", eta, 1, math.inf)
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] != c.n:
         raise ValidationError(f"samples: expected shape (count, {c.n})")

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: validation problems exit 2,
-violated theorem assertions exit 3, resource ceilings exit 4.
+violated theorem assertions and failed numeric checks exit 3, resource
+ceilings exit 4.
 """
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import neumaier_cumsum, suffix_sums
+from ._util import ABOVE_ZERO, check_range, neumaier_cumsum, suffix_sums
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -43,8 +43,7 @@ class Distribution:
     base: int
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValidationError(f"base: code alphabet size must be >= 2, got {self.base}")
+        check_range("base", self.base, 2, math.inf)
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise ValidationError("probs: need a non-empty 1-d probability vector")
@@ -114,8 +113,7 @@ class Spectrum:
     atoms: tuple[SpectrumAtom, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n: block length must be >= 1, got {self.n}")
+        check_range("n", self.n, 1, math.inf)
         if not self.atoms:
             raise NumericError("spectrum has no atoms")
         prev = math.inf
@@ -183,16 +181,6 @@ class Spectrum:
     def total_count(self) -> int:
         return self.cumulative_counts[-1]
 
-    def per_seq_mass(self, index: int) -> float:
-        """Probability of a single sequence in atom ``index``.
-
-        Underflows to 0.0 at large blocklengths even when the atom's total
-        mass is of order one; internal arithmetic therefore sticks to
-        ``log_prob_per_seq`` and only callers that want a displayable number
-        should use this.
-        """
-        return math.exp(self.atoms[index].log_prob_per_seq)
-
 
 def _collapse(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal-probability symbols; returns (distinct values, multiplicities).
@@ -207,23 +195,36 @@ def _collapse(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, mults
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All vectors of ``parts`` nonnegative ints summing to ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every type of n symbols over len(mults) probability levels, with its size.
 
+    Iterates ``(ks, count)`` for each vector ks of nonnegative ints summing to
+    n, in lexicographic order of ks, where count = n! / prod(k_j!) *
+    prod(m_j ** k_j) is the exact number of sequences of that type when m_j
+    symbols share level j.  Each count is its neighbour's times one ratio of
+    small ints, so a type costs one big-integer multiply and one exact
+    divide.
+    """
+    mults = [int(m) for m in mults]
+    if len(mults) == 1:
+        return iter([((n,), mults[0] ** n)])
+    *outer, ma, mb = mults
 
-def _multinomial(n: int, ks: Sequence[int]) -> int:
-    out = 1
-    rem = n
-    for k in ks:
-        out *= math.comb(rem, k)
-        rem -= k
-    return out
+    def walk(prefix: tuple[int, ...], rem: int, head: int):
+        # head = n! / (prod of prefix k! * rem!) * prod of prefix m^k
+        if len(prefix) < len(outer):
+            m = outer[len(prefix)]
+            for k in range(rem + 1):
+                yield from walk(prefix + (k,), rem - k, head)
+                head = head * ((rem - k) * m) // (k + 1)
+            return
+        # The last two levels split rem as (k, rem - k).
+        count = head * mb ** rem
+        for k in range(rem + 1):
+            yield prefix + (k, rem - k), count
+            count = count * ((rem - k) * ma) // ((k + 1) * mb)
+
+    return walk((), n, 1)
 
 
 def _check_ceiling(n: int, groups: int, ceiling: int) -> None:
@@ -267,36 +268,17 @@ def iid_spectrum(d: Distribution, n: int, *,
     permutation-equal types exactly merged), computes each type's sequence
     count as an exact integer, and its mass as exp(log(count) + log P).
     """
-    if n < 1:
-        raise ValidationError(f"n: block length must be >= 1, got {n}")
+    check_range("n", n, 1, math.inf)
     values, mults = _collapse(d.probs)
     g = len(values)
     _check_ceiling(n, g, type_ceiling)
     logq = np.log(values)
-    raw: list[tuple[float, int]] = []
-    if g == 1:
-        raw.append((n * float(logq[0]), int(mults[0]) ** n))
-    elif g == 2:
-        m0, m1 = int(mults[0]), int(mults[1])
-        comb = 1                 # C(n, k) for k sequences of level 1
-        pow0 = m0 ** n           # m0^(n-k)
-        pow1 = 1                 # m1^k
+    types = _type_classes(n, mults)
+    if g == 2:
         l0, l1 = float(logq[0]), float(logq[1])
-        for k in range(n + 1):
-            lp = (n - k) * l0 + k * l1
-            raw.append((lp, comb * pow0 * pow1))
-            if k < n:
-                comb = comb * (n - k) // (k + 1)
-                pow0 //= m0
-                pow1 *= m1
+        raw = [(k0 * l0 + k1 * l1, count) for (k0, k1), count in types]
     else:
-        for ks in _compositions(n, g):
-            lp = float(np.dot(ks, logq))
-            count = _multinomial(n, ks)
-            for kj, mj in zip(ks, mults):
-                if mj > 1 and kj:
-                    count *= int(mj) ** kj
-            raw.append((lp, count))
+        raw = [(float(np.dot(ks, logq)), count) for ks, count in types]
     for lp, _ in raw:
         if not math.isfinite(lp):
             raise NumericError("log probability overflowed")
@@ -320,14 +302,12 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
     w1     : weight of the first component, strictly inside (0, 1)
     n      : block length
     """
-    if not (0.0 < w1 < 1.0):
-        raise ValidationError(f"w1: mixture weight must lie in (0, 1), got {w1}")
+    check_range("w1", w1, ABOVE_ZERO, 1, "(0, 1)")
     if d1.alphabet_size != d2.alphabet_size:
         raise ValidationError("probs2: component alphabets differ in size")
     if d1.base != d2.base:
         raise ValidationError("base: components carry different code bases")
-    if n < 1:
-        raise ValidationError(f"n: block length must be >= 1, got {n}")
+    check_range("n", n, 1, math.inf)
     p1 = np.asarray(d1.probs)
     p2 = np.asarray(d2.probs)
     keep = (p1 > 0.0) | (p2 > 0.0)
@@ -344,7 +324,7 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
     lw1 = math.log(w1)
     lw2 = math.log1p(-w1)
     raw: list[tuple[float, int]] = []
-    for ks in _compositions(n, g):
+    for ks, count in _type_classes(n, mults):
         # Component log probs; a zero-probability symbol with k > 0 kills the component.
         t1 = 0.0
         t2 = 0.0
@@ -357,18 +337,13 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
             continue  # unreachable under both components
         if not math.isfinite(lp):
             raise NumericError("log probability overflowed")
-        count = _multinomial(n, ks)
-        for kj, mj in zip(ks, mults):
-            if mj > 1 and kj:
-                count *= mj ** kj
         raw.append((lp, count))
     return _finish_spectrum(n, d1.base, raw, _mass_tol(n, d1.alphabet_size))
 
 
 def ceil_log2_parity(n: int) -> int:
     """Default switching rule: 0 (first component) when ceil(log2 n) is even, else 1."""
-    if n < 1:
-        raise ValidationError(f"n: block length must be >= 1, got {n}")
+    check_range("n", n, 1, math.inf)
     return 0 if ((n - 1).bit_length() % 2 == 0) else 1
 
 
@@ -409,9 +384,7 @@ def switching_spectrum(schedule: SwitchingSchedule, n: int, *,
 
 def sample_sequences(d: Distribution, n: int, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` i.i.d. length-n symbol sequences; shape (count, n), dtype int."""
-    if n < 1:
-        raise ValidationError(f"n: block length must be >= 1, got {n}")
-    if count < 1:
-        raise ValidationError(f"count: need at least one sample, got {count}")
+    check_range("n", n, 1, math.inf)
+    check_range("count", count, 1, math.inf)
     rng = np.random.default_rng(seed)
     return rng.choice(d.alphabet_size, size=(count, n), p=np.asarray(d.probs))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import count_mass, split_count
+from ._util import check_budgets, check_range, count_mass, split_count
 from .errors import ValidationError
 from .sources import Spectrum
 
@@ -22,11 +22,6 @@ class Comparator(enum.Enum):
 
     STRICT = ">"
     NON_STRICT = ">="
-
-    def admits(self, value: float, threshold: float) -> bool:
-        if self is Comparator.STRICT:
-            return value > threshold
-        return value >= threshold
 
 
 def _tail_start(s: Spectrum, rate: float, cmp: Comparator) -> int:
@@ -60,13 +55,6 @@ class PrefixSelection:
     boundary_taken: int
     mass: float
     num_sequences: int
-
-    def taken(self, index: int) -> int:
-        if index < self.full_atoms:
-            return -1  # sentinel: caller should use the atom's own count
-        if index == self.full_atoms:
-            return self.boundary_taken
-        return 0
 
 
 def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
@@ -122,8 +110,7 @@ def smooth_max_entropy(s: Spectrum, gamma: float) -> float:
     The boundary type class is split at sequence granularity.  At gamma = 0
     this is log_K of the number of positive-probability sequences.
     """
-    if not (0.0 <= gamma < 1.0):
-        raise ValidationError(f"gamma: must lie in [0, 1), got {gamma}")
+    check_range("gamma", gamma, 0, 1)
     sel = top_probability_prefix(s, 1.0 - gamma)
     return math.log(max(sel.num_sequences, 1)) / math.log(s.base)
 
@@ -156,8 +143,7 @@ def restricted_tail_inf(s: Spectrum, eps: float, rate: float,
     The default comparator is non-strict, matching the tail convention of
     the constrained-minimum definitions.
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValidationError(f"eps: must lie in [0, 1), got {eps}")
+    check_range("eps", eps, 0, 1)
     start = _tail_start(s, rate, cmp)
     tail = float(s.suffix_mass[start])
     free = 1.0 - tail
@@ -178,13 +164,9 @@ def finite_n_first_order(s: Spectrum, eps: float, delta: float) -> float:
     grid in base-K units per symbol.  It depends on (eps, delta) only
     through their sum, exactly.
     """
-    if eps < 0.0 or delta < 0.0:
-        raise ValidationError("eps/delta: budgets must be nonnegative")
-    budget = eps + delta
-    if budget >= 1.0:
-        raise ValidationError(f"eps+delta: combined budget must be < 1, got {budget}")
+    check_budgets(eps, delta)
     beyond = s.suffix_mass[1:]  # beyond[j] = mass of atoms strictly after j
-    j = int(np.argmax(beyond <= budget))  # first index satisfying the budget
+    j = int(np.argmax(beyond <= eps + delta))  # first index satisfying the budget
     return float(s.rates[j])
 
 

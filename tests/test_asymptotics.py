@@ -151,7 +151,8 @@ def test_second_order_threshold_zero_varentropy():
     assert second_order_threshold(d, 1.0, 0.1, 0.1) == 0.0
 
 
-@pytest.mark.parametrize("eps,delta", [(0.6, 0.4), (-0.1, 0.1), (0.1, -0.1)])
+@pytest.mark.parametrize("eps,delta", [(0.6, 0.4), (-0.1, 0.1), (0.1, -0.1),
+                                       (0.1, math.nan), (math.nan, 0.1)])
 def test_second_order_threshold_rejects_bad_budgets(eps, delta):
     with pytest.raises(ValidationError):
         second_order_threshold(bern(0.3), 0.9, eps, delta)
@@ -277,6 +278,8 @@ def test_convergence_study_validation():
         convergence_study(d, 0.1, 0.1, [10, 0])
     with pytest.raises(ValidationError):
         convergence_study(d, 0.7, 0.3, [10])
+    with pytest.raises(ValidationError):
+        convergence_study(d, 0.1, math.nan, [10])
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,11 @@ def test_bounds_reject_bad_eta():
         achievability_bound(s, 0.1, 0.5, 0.5)
     with pytest.raises(ValidationError):
         converse_bound(s, 0.9, 0.5, 0.0)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            achievability_bound(s, 0.1, 0.5, eta)
+        with pytest.raises(ValidationError):
+            converse_bound(s, 0.9, 0.5, eta)
 
 
 def test_achievability_rejects_bad_eps():
@@ -115,7 +120,7 @@ def test_second_order_slack_is_root_exponential():
     assert rule(64) == pytest.approx(2 ** -4.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -0.1])
+@pytest.mark.parametrize("gamma", [0.0, -0.1, math.nan])
 def test_slack_schedules_reject_bad_exponent(gamma):
     with pytest.raises(ValidationError):
         first_order_slack(gamma, 2)

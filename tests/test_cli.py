@@ -4,12 +4,15 @@ byte-level determinism."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 import overflowlab.cli as cli
 from overflowlab import (
     BoundReport,
+    NumericError,
     ValidationError,
     convergence_study,
     entropy,
@@ -17,6 +20,7 @@ from overflowlab import (
     make_distribution,
     optimal_threshold,
     optimal_tradeoff,
+    string_budget,
 )
 from overflowlab.cli import main, parse_source_config
 
@@ -189,6 +193,23 @@ def test_tradeoff_csv_round_trips_exactly(bern03, tmp_path):
         assert float(row[2]) == p.delta_star  # repr round trip is exact
         assert int(row[3]) == p.budget
         assert float(row[1]) == 0.1
+
+
+def test_tradeoff_prints_budgets_past_the_int_digit_limit(bern03, tmp_path):
+    # 2^15001 - 2 has 4516 decimal digits, past Python's default limit of 4300.
+    limit = sys.get_int_max_str_digits()
+    out = str(tmp_path / "t.csv")
+    assert main(["tradeoff", "--source", bern03, "--n", "20000", "--eps", "0.1",
+                 "--eta-grid", "15000", "--out", out]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    _, _, rows = read_csv(out)
+    budget = rows[0][3]
+    assert len(budget) == 4516
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(budget) == string_budget(2, 15000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_tradeoff_empty_grid_writes_header_only(bern03, tmp_path):
@@ -438,6 +459,42 @@ def test_simulate_rejects_empty_sample_budget(bern03, tmp_path):
 def test_missing_config_exits_2(tmp_path):
     assert main(["spectrum", "--source", str(tmp_path / "missing.s"),
                  "--n", "2", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--n", "50", "--eps", "0.1", "--delta", "nan"],
+    ["tradeoff", "--n", "10", "--eps", "0.1", "--eta-grid", "nan"],
+    ["tradeoff", "--n", "10", "--eps", "0.1", "--eta-grid", "inf"],
+    ["bounds", "--n", "10", "--eps", "0.1", "--eta-grid", "nan"],
+    ["bounds", "--n", "10", "--eps", "0.1", "--eta-grid", "inf"],
+    ["simulate", "--n", "8", "--eps", "0.1", "--eta", "nan", "--samples", "100"],
+    ["simulate", "--n", "8", "--eps", "0.1", "--eta", "inf", "--samples", "100"],
+], ids=["threshold-delta-nan", "tradeoff-eta-nan", "tradeoff-eta-inf", "bounds-eta-nan",
+        "bounds-eta-inf", "simulate-eta-nan", "simulate-eta-inf"])
+def test_non_finite_budget_or_threshold_exits_2(argv, bern03, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert main(argv + ["--source", bern03, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_numeric_error_exits_3(bern03, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise NumericError("spectrum mass 0.5 deviates from 1")
+    monkeypatch.setattr(cli, "iid_spectrum", broken)
+    assert main(["spectrum", "--source", bern03, "--n", "4",
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric check failed: spectrum mass")
+    assert "Traceback" not in err
+
+
+def test_import_does_not_load_scipy():
+    probe = ("import sys, overflowlab, overflowlab.cli; "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_type_ceiling_exits_4(write_config, tmp_path):

@@ -172,8 +172,9 @@ def test_code_overflow_counts_long_junk():
 
 def test_code_overflow_validation():
     c = construct_code(spectrum_of((0.3, 0.7), 2), 0.0)
-    with pytest.raises(ValidationError):
-        code_overflow(c, 0.5)
+    for eta in (0.5, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            code_overflow(c, eta)
     bare = _bare_spec(c.assignments)
     with pytest.raises(ValidationError):
         code_overflow(bare, 2)
@@ -295,6 +296,9 @@ def test_tradeoff_validation():
         optimal_tradeoff(s, 1, 1.0)
     with pytest.raises(ValidationError):
         optimal_tradeoff(s, 1, -0.1)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            optimal_tradeoff(s, eta, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +349,9 @@ def test_threshold_validation():
         optimal_threshold(s, 0.1, -0.1)
     with pytest.raises(ValidationError):
         optimal_threshold(s, 1.2, 0.0)
+    for eps, delta in ((0.1, math.nan), (math.nan, 0.1)):
+        with pytest.raises(ValidationError):
+            optimal_threshold(s, eps, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +433,5 @@ def test_simulate_validation():
     bare = _bare_spec(c.assignments)
     with pytest.raises(ValidationError):
         simulate_roundtrip(bare, d, np.array([[0, 1]]), 2)
+    with pytest.raises(ValidationError):
+        simulate_roundtrip(c, d, np.array([[0, 1]]), math.nan)
