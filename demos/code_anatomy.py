@@ -28,7 +28,7 @@ print(f"Bernoulli(0.3), n = {n}, error budget {eps}")
 print(f"  decoded mass {code.decode_set_mass:.6f}, error mass {code.error_mass:.6f}")
 print(f"  {'length':>6}  {'count':>6}  {'per-seq prob':>12}")
 for a in code.assignments:
-    lp = code.spectrum.atoms[a.atom].log_prob_per_seq
+    lp = code.spectrum.log_probs[a.atom]
     print(f"  {a.length:6d}  {a.count:6d}  {math.exp(lp):12.3e}")
 
 report = validate_counting_condition(code)

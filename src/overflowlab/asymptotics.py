@@ -69,6 +69,7 @@ def second_order_threshold(d: Distribution, rate: float, eps: float,
     apart through the spectrum anyway.
     """
     check_budgets(eps, delta)
+    check_range("rate", rate, -math.inf, math.inf)
     h = entropy(d)
     if abs(rate - h) <= 1e-12:
         v = varentropy(d)
@@ -108,10 +109,7 @@ def second_order_at_mean_length(d: Distribution, eps: float, delta: float) -> fl
     """
     check_budgets(eps, delta)
     if eps == 0.0:
-        v = varentropy(d)
-        if v == 0.0:
-            return 0.0
-        return math.sqrt(v) * q_upper_inv(delta)
+        return second_order_threshold(d, entropy(d), eps, delta)
     if entropy(d) == 0.0:
         return 0.0
     return math.inf
@@ -165,7 +163,7 @@ def convergence_study(d: Distribution, eps: float, delta: float,
     check_range("least blocklength in n_grid", min(n_grid, default=0), 1, math.inf)
     h = entropy(d)
     v = varentropy(d)
-    limit = 0.0 if v == 0.0 else math.sqrt(v) * q_upper_inv(eps + delta)
+    limit = second_order_threshold(d, h, eps, delta)
     ml_rate, ml_const = mean_length_constants(d, eps)
     samples = []
     for n in sorted(n_grid):

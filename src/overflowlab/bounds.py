@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._util import ABOVE_ONE, ABOVE_ZERO, check_range, count_mass
 from .codes import _decode_selection, code_overflow, construct_code, optimal_tradeoff
-from .errors import TheoremViolation, ValidationError
+from .errors import TheoremViolation
 from .sources import Spectrum
 from .tails import PrefixSelection, selection_log_mass, top_probability_prefix
 
@@ -29,17 +31,14 @@ def _selection_mass_below(s: Spectrum, sel: PrefixSelection, ln_thresh: float) -
     """Mass of the selected sequences whose per-sequence log prob is <= ln_thresh.
 
     The selection is a top-probability prefix, so the qualifying sequences
-    form the light end of the selection; summing runs over whole atoms plus
-    the boundary slice.
+    form the light end of the selection: whole atoms from the first one at or
+    below the threshold up to the boundary, plus the boundary slice.
     """
-    parts = []
-    for i in range(min(sel.full_atoms + 1, len(s.atoms))):
-        lp = s.atoms[i].log_prob_per_seq
-        if lp > ln_thresh:
-            continue
-        count = s.atoms[i].count if i < sel.full_atoms else sel.boundary_taken
-        if count:
-            parts.append(count_mass(count, lp))
+    b = sel.full_atoms
+    first = int(np.searchsorted(-s.log_probs, -ln_thresh, side="left"))
+    parts = s.masses[first:b].tolist()
+    if first <= b < len(s):
+        parts.append(count_mass(sel.boundary_taken, float(s.log_probs[b])))
     return math.fsum(parts)
 
 
@@ -70,9 +69,9 @@ def converse_bound(s: Spectrum, decode_mass_target: float, a_n: float,
     """
     check_range("a_n", a_n, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
     check_range("eta", eta, 1, math.inf)
-    if decode_mass_target > 1.0 + 1e-12:
-        raise ValidationError(
-            f"decode_mass_target: mass cannot exceed 1, got {decode_mass_target}")
+    # Up to 1e-12 over 1 is rounding dust from upstream masses, not an error.
+    check_range("decode_mass_target", decode_mass_target, -math.inf,
+                math.nextafter(1.0 + 1e-12, 2.0), "[-inf, 1]")
     if decode_mass_target <= 0.0:
         return 0.0
     sel = top_probability_prefix(s, min(decode_mass_target, 1.0))

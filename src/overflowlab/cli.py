@@ -232,8 +232,8 @@ def _write_scalar(args, comment: str, payload: dict) -> None:
 def _cmd_spectrum(args) -> int:
     cfg = parse_source_config(args.source)
     s = _spectrum_for(cfg, args.n)
-    rows = [[i, float(s.rates[i]), a.log_prob_per_seq, str(a.count), a.mass]
-            for i, a in enumerate(s.atoms)]
+    columns = zip(s.rates.tolist(), s.log_probs.tolist(), s.counts, s.masses.tolist())
+    rows = [[i, rate, lp, str(count), mass] for i, (rate, lp, count, mass) in enumerate(columns)]
     comment = (f"n={s.n} base={s.base}; rate: base-{s.base} units per symbol; "
                f"log_prob_per_seq: nats; count: sequences; mass: probability")
     _write_rows(args, comment, ["atom", "rate", "log_prob_per_seq", "count", "mass"], rows)

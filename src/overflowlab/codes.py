@@ -72,7 +72,7 @@ def _decode_selection(s: Spectrum, eps: float) -> PrefixSelection:
     if sel.num_sequences > 0:
         return sel
     return PrefixSelection(full_atoms=0, boundary_taken=1,
-                           mass=count_mass(1, s.atoms[0].log_prob_per_seq),
+                           mass=count_mass(1, float(s.log_probs[0])),
                            num_sequences=1)
 
 
@@ -88,29 +88,22 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     sel = _decode_selection(s, eps)
     ln_pa = selection_log_mass(s, sel)
     ln_base = math.log(s.base)
-    assignments = []
-    for i in range(sel.full_atoms + 1):
-        if i >= len(s.atoms):
-            break
-        count = s.atoms[i].count if i < sel.full_atoms else sel.boundary_taken
-        if count == 0:
-            continue
-        length = max(1, guarded_ceil((ln_pa - s.atoms[i].log_prob_per_seq) / ln_base))
-        assignments.append(Assignment(atom=i, count=count, length=length))
-    err = _leftover_mass(s, {a.atom: a.count for a in assignments})
+    b = sel.full_atoms
+    # Atoms [0, b) are decoded whole and boundary_taken sequences of atom b,
+    # which exists unless the decode set is the whole spectrum.
+    decoded = s.counts[:b] + (sel.boundary_taken,)
+    assignments = [
+        Assignment(atom=i, count=count,
+                   length=max(1, guarded_ceil((ln_pa - lp) / ln_base)))
+        for i, (count, lp) in enumerate(zip(decoded, s.log_probs[:b + 1].tolist()))
+        if count
+    ]
+    err = 0.0
+    if b < len(s):
+        rest = count_mass(s.counts[b] - sel.boundary_taken, float(s.log_probs[b]))
+        err = math.fsum([rest, *s.masses[b + 1:].tolist()])
     return CodeSpec(n=s.n, base=s.base, decode_set_mass=sel.mass, error_mass=err,
                     assignments=tuple(assignments), junk_length=1, spectrum=s)
-
-
-def _leftover_mass(s: Spectrum, taken: dict[int, int]) -> float:
-    parts = []
-    for i, atom in enumerate(s.atoms):
-        left = atom.count - taken.get(i, 0)
-        if left == atom.count:
-            parts.append(atom.mass)
-        elif left > 0:
-            parts.append(count_mass(left, atom.log_prob_per_seq))
-    return math.fsum(parts)
 
 
 def code_overflow(c: CodeSpec, eta: float) -> float:
@@ -122,9 +115,9 @@ def code_overflow(c: CodeSpec, eta: float) -> float:
     check_range("eta", eta, 1, math.inf)
     if c.spectrum is None:
         raise ValidationError("code has no spectrum attached; overflow needs masses")
-    s = c.spectrum
-    over = [count_mass(a.count, s.atoms[a.atom].log_prob_per_seq)
-            for a in c.assignments if a.length > eta]
+    long = [a for a in c.assignments if a.length > eta]
+    lps = c.spectrum.log_probs[[a.atom for a in long]].tolist()
+    over = [count_mass(a.count, lp) for a, lp in zip(long, lps)]
     if c.junk_length > eta:
         over.append(c.error_mass)
     return math.fsum(over)
@@ -196,10 +189,9 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     # of each atom is kept, so a junked atom costs no big-integer copy.
     left = eps
     over = []
-    for i in range(b, len(s.atoms)):
-        atom = s.atoms[i]
-        lp = atom.log_prob_per_seq
-        avail = cum_counts[b] - m_budget if i == b else atom.count
+    undecoded = (cum_counts[b] - m_budget,) + s.counts[b + 1:]
+    for avail, count, lp, mass in zip(undecoded, s.counts[b:], s.log_probs[b:].tolist(),
+                                      s.masses[b:].tolist()):
         if left > 0.0 and avail > 0:
             avail_mass = count_mass(avail, lp)
             if avail_mass <= left * (1.0 + 1e-9):
@@ -213,8 +205,8 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
             if k > 0:
                 avail -= k
                 left = max(left - count_mass(k, lp), 0.0)
-        if avail == atom.count:
-            over.append(atom.mass)
+        if avail == count:
+            over.append(mass)
         elif avail > 0:
             over.append(count_mass(avail, lp))
     return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=max(math.fsum(over), 0.0),
@@ -343,16 +335,13 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
     if np.any(np.abs(descending[idx] - lp) > 1e-9 * np.maximum(1.0, np.abs(lp))):
         raise ValidationError("samples: a sequence does not match any spectrum atom")
 
-    n_atoms = len(s.atoms)
     assigned = {a.atom: a.count for a in c.assignments}
-    full = np.zeros(n_atoms, dtype=bool)
-    none = np.zeros(n_atoms, dtype=bool)
-    length_over = np.zeros(n_atoms, dtype=bool)
-    for i, atom in enumerate(s.atoms):
-        a_count = assigned.get(i, 0)
-        full[i] = a_count >= atom.count
-        none[i] = a_count == 0
+    full = np.zeros(len(s), dtype=bool)
+    none = np.ones(len(s), dtype=bool)
+    length_over = np.zeros(len(s), dtype=bool)
     for a in c.assignments:
+        full[a.atom] = a.count >= s.counts[a.atom]
+        none[a.atom] = a.count == 0
         length_over[a.atom] = a.length > eta
 
     is_full = full[idx]

@@ -2,14 +2,18 @@
 
 A spectrum here is the distribution of the normalized self-information
 (1/n) * log(1/P(X^n)) of an n-symbol block, represented exactly at type-class
-granularity: one atom per distinct per-sequence probability, an arbitrary
-precision integer count of sequences, and the atom's total probability mass.
+granularity and stored as columns: one entry per distinct per-sequence
+probability (an atom), holding its log probability, an arbitrary precision
+integer count of sequences, and the atom's total probability mass.
+A Spectrum's ``atoms`` property is a per-atom view of those columns for
+outside readers.
 All logarithms are kept in nats internally; rates are converted to base-K
 units (K = the code alphabet size carried by the source) at the API surface.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -99,43 +103,59 @@ class SpectrumAtom:
     mass: float              # count * exp(log_prob_per_seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Exact block self-information spectrum at type-class granularity.
 
-    Atoms are sorted by strictly decreasing per-sequence log probability
-    (equivalently strictly increasing rate).  Instances are immutable after
-    construction and safe to share.
+    Atom i has per-sequence log probability ``log_probs[i]`` (nats, strictly
+    decreasing, equivalently strictly increasing rate), ``counts[i]``
+    sequences (exact ints) and total probability ``masses[i]``, which is
+    derived from the other two.  Instances are immutable after construction
+    and safe to share; they compare and hash by identity, since array
+    columns have no single truth value.
     """
 
     n: int
     base: int
-    atoms: tuple[SpectrumAtom, ...]
+    log_probs: np.ndarray
+    counts: tuple[int, ...]
+    masses: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         check_range("n", self.n, 1, math.inf)
-        if not self.atoms:
+        lps = np.array(self.log_probs, dtype=float)
+        counts = tuple(self.counts)
+        if lps.ndim != 1 or len(lps) == 0:
             raise NumericError("spectrum has no atoms")
-        prev = math.inf
-        for a in self.atoms:
-            if not math.isfinite(a.log_prob_per_seq):
-                raise NumericError("non-finite log probability in spectrum")
-            if a.log_prob_per_seq >= prev:
-                raise NumericError("atoms are not strictly decreasing in log probability")
-            if a.count < 1:
-                raise NumericError("atom with empty sequence count")
-            if not (0.0 <= a.mass <= 1.0 + 1e-9):
-                raise NumericError(f"atom mass {a.mass!r} outside [0, 1]")
-            prev = a.log_prob_per_seq
+        if len(lps) != len(counts):
+            raise NumericError(f"{len(lps)} log probabilities for {len(counts)} counts")
+        if not np.all(np.isfinite(lps)):
+            raise NumericError("non-finite log probability in spectrum")
+        if np.any(np.diff(lps) >= 0.0):
+            raise NumericError("atoms are not strictly decreasing in log probability")
+        if min(counts) < 1:
+            raise NumericError("atom with empty sequence count")
+        # Capping the exponent at 1 keeps exp from overflowing on an
+        # inconsistent count; any capped mass still fails the check below.
+        masses = np.array([math.exp(min(math.log(c) + lp, 1.0))
+                           for c, lp in zip(counts, lps.tolist())])
+        heaviest = float(masses.max())
+        if heaviest > 1.0 + 1e-9:
+            raise NumericError(f"atom mass {heaviest!r} outside [0, 1]")
+        lps.flags.writeable = False
+        masses.flags.writeable = False
+        object.__setattr__(self, "log_probs", lps)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "masses", masses)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.counts)
 
     @cached_property
-    def log_probs(self) -> np.ndarray:
-        a = np.array([atom.log_prob_per_seq for atom in self.atoms])
-        a.flags.writeable = False
-        return a
+    def atoms(self) -> tuple[SpectrumAtom, ...]:
+        """One SpectrumAtom per atom, built on first read from the columns."""
+        return tuple(map(SpectrumAtom, self.log_probs.tolist(), self.counts,
+                         self.masses.tolist()))
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -143,16 +163,6 @@ class Spectrum:
         r = -self.log_probs / (self.n * math.log(self.base))
         r.flags.writeable = False
         return r
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        m = np.array([atom.mass for atom in self.atoms])
-        m.flags.writeable = False
-        return m
-
-    @cached_property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(atom.count for atom in self.atoms)
 
     @cached_property
     def prefix_mass(self) -> np.ndarray:
@@ -170,12 +180,7 @@ class Spectrum:
 
     @cached_property
     def cumulative_counts(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for atom in self.atoms:
-            total += atom.count
-            out.append(total)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.counts))
 
     @property
     def total_count(self) -> int:
@@ -239,20 +244,19 @@ def _finish_spectrum(n: int, base: int, raw: list[tuple[float, int]],
                      mass_tol: float) -> Spectrum:
     """Sort candidates by log probability, merge near-equal levels, validate mass."""
     raw.sort(key=lambda t: t[0], reverse=True)
-    merged: list[tuple[float, int]] = []
+    lps: list[float] = []
+    counts: list[int] = []
     for lp, count in raw:
-        if merged and abs(merged[-1][0] - lp) <= _MERGE_RTOL * max(1.0, abs(lp)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + count)
+        if lps and abs(lps[-1] - lp) <= _MERGE_RTOL * max(1.0, abs(lp)):
+            counts[-1] += count
         else:
-            merged.append((lp, count))
-    atoms = tuple(
-        SpectrumAtom(log_prob_per_seq=lp, count=c, mass=math.exp(math.log(c) + lp))
-        for lp, c in merged
-    )
-    total = math.fsum(a.mass for a in atoms)
+            lps.append(lp)
+            counts.append(count)
+    built = Spectrum(n=n, base=base, log_probs=lps, counts=counts)
+    total = math.fsum(built.masses.tolist())
     if abs(total - 1.0) > mass_tol:
         raise NumericError(f"spectrum mass {total!r} deviates from 1 beyond {mass_tol}")
-    return Spectrum(n=n, base=base, atoms=atoms)
+    return built
 
 
 def _mass_tol(n: int, alphabet_size: int) -> float:

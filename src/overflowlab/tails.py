@@ -27,8 +27,10 @@ class Comparator(enum.Enum):
 def _tail_start(s: Spectrum, rate: float, cmp: Comparator) -> int:
     """Index of the first atom whose rate is admitted by ``cmp`` against ``rate``.
 
-    Rates are strictly ascending, so the admitted region is a suffix.
+    Rates are strictly ascending, so the admitted region is a suffix.  The
+    comparison is exact: ``cmp`` only picks the side of the search.
     """
+    check_range("rate", rate, -math.inf, math.inf)
     side = "right" if cmp is Comparator.STRICT else "left"
     return int(np.searchsorted(s.rates, rate, side=side))
 
@@ -57,6 +59,11 @@ class PrefixSelection:
     num_sequences: int
 
 
+def _count_before(s: Spectrum, i: int) -> int:
+    """Exact number of sequences in atoms [0, i)."""
+    return s.cumulative_counts[i - 1] if i else 0
+
+
 def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
     """Smallest descending-probability prefix of atoms [start..) with mass >= target.
 
@@ -66,30 +73,27 @@ def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
     """
     if target <= 0.0:
         return PrefixSelection(full_atoms=start, boundary_taken=0, mass=0.0, num_sequences=0)
-    cum = 0.0
-    seqs = 0
-    for i in range(start, len(s.atoms)):
-        atom = s.atoms[i]
-        if cum + atom.mass < target - 1e-12:
-            cum += atom.mass
-            seqs += atom.count
-            continue
-        remaining = target - cum
-        if remaining <= 0.0:
-            k = 0
-        else:
-            # Log-domain split: at large n a single sequence's probability
-            # underflows a double even while the atom's mass is of order one.
-            k = split_count(math.log(remaining), atom.log_prob_per_seq,
-                            atom.count, "cover")
-        if k == atom.count:
-            return PrefixSelection(i + 1, 0, cum + atom.mass, seqs + atom.count)
-        return PrefixSelection(i, k, cum + count_mass(k, atom.log_prob_per_seq), seqs + k)
-    return PrefixSelection(len(s.atoms), 0, cum, seqs)
+    # The first atom at which the running mass reaches the target (less a
+    # 1e-12 allowance); np.cumsum adds left to right like a loop would.
+    running = np.cumsum(s.masses[start:])
+    i = start + int(np.searchsorted(running, target - 1e-12, side="left"))
+    cum = float(running[i - start - 1]) if i > start else 0.0
+    seqs = _count_before(s, i) - _count_before(s, start)
+    if i == len(s):
+        return PrefixSelection(i, 0, cum, seqs)
+    lp, count, mass = float(s.log_probs[i]), s.counts[i], float(s.masses[i])
+    # Log-domain split: at large n a single sequence's probability underflows
+    # a double even while the atom's mass is of order one.  cum < target, so
+    # the log is defined.
+    k = split_count(math.log(target - cum), lp, count, "cover")
+    if k == count:
+        return PrefixSelection(i + 1, 0, cum + mass, seqs + count)
+    return PrefixSelection(i, k, cum + count_mass(k, lp), seqs + k)
 
 
 def top_probability_prefix(s: Spectrum, target: float) -> PrefixSelection:
     """Smallest set of highest-probability sequences with total mass >= target."""
+    check_range("target", target, -math.inf, math.inf)
     return _greedy_prefix(s, 0, target)
 
 
@@ -99,8 +103,7 @@ def selection_log_mass(s: Spectrum, sel: PrefixSelection) -> float:
     if sel.mass > 0.0:
         return math.log(sel.mass)
     if sel.boundary_taken > 0:
-        return (math.log(sel.boundary_taken)
-                + s.atoms[sel.full_atoms].log_prob_per_seq)
+        return math.log(sel.boundary_taken) + float(s.log_probs[sel.full_atoms])
     raise ValidationError("selection is empty; it has no log mass")
 
 

@@ -151,6 +151,11 @@ def test_second_order_threshold_zero_varentropy():
     assert second_order_threshold(d, 1.0, 0.1, 0.1) == 0.0
 
 
+def test_second_order_threshold_rejects_nan_rate():
+    with pytest.raises(ValidationError):
+        second_order_threshold(bern(0.3), math.nan, 0.1, 0.1)
+
+
 @pytest.mark.parametrize("eps,delta", [(0.6, 0.4), (-0.1, 0.1), (0.1, -0.1),
                                        (0.1, math.nan), (math.nan, 0.1)])
 def test_second_order_threshold_rejects_bad_budgets(eps, delta):

@@ -18,7 +18,9 @@ from overflowlab import (
     make_distribution,
     sandwich_sweep,
     second_order_slack,
+    top_probability_prefix,
 )
+from overflowlab._util import count_mass
 
 
 def spectrum_of(probs, n):
@@ -101,6 +103,34 @@ def test_converse_target_edges():
     # ...but a real excess is refused.
     with pytest.raises(ValidationError):
         converse_bound(s, 1.001, 0.5, 2)
+
+
+def test_converse_rejects_nan_target():
+    with pytest.raises(ValidationError):
+        converse_bound(spectrum_of((0.3, 0.7), 8), math.nan, 0.5, 2)
+
+
+def _mass_below_loop(s, sel, ln_thresh):
+    """Reference: the atom-by-atom sum the vectorised selection mass replaced."""
+    parts = []
+    for i in range(min(sel.full_atoms + 1, len(s))):
+        lp = float(s.log_probs[i])
+        count = s.counts[i] if i < sel.full_atoms else sel.boundary_taken
+        if lp <= ln_thresh and count:
+            parts.append(count_mass(count, lp))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("probs", [(0.3, 0.7), (0.1, 0.9), (0.2, 0.3, 0.5)])
+@pytest.mark.parametrize("n", [1, 6, 40])
+@pytest.mark.parametrize("target", [0.3, 0.9, 1.0])
+def test_selection_mass_below_equals_loop(probs, n, target):
+    s = spectrum_of(probs, n)
+    sel = top_probability_prefix(s, target)
+    lps = s.log_probs.tolist()
+    # Thresholds on every atom's level, between levels and past both ends.
+    for t in lps + [(a + b) / 2 for a, b in zip(lps, lps[1:])] + [1.0, lps[-1] - 1.0]:
+        assert bounds_mod._selection_mass_below(s, sel, t) == _mass_below_loop(s, sel, t)
 
 
 # ---------------------------------------------------------------------------

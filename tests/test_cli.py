@@ -469,8 +469,9 @@ def test_missing_config_exits_2(tmp_path):
     ["bounds", "--n", "10", "--eps", "0.1", "--eta-grid", "inf"],
     ["simulate", "--n", "8", "--eps", "0.1", "--eta", "nan", "--samples", "100"],
     ["simulate", "--n", "8", "--eps", "0.1", "--eta", "inf", "--samples", "100"],
+    ["asymptotics", "--eps", "0.1", "--delta", "0.1", "--rate", "nan"],
 ], ids=["threshold-delta-nan", "tradeoff-eta-nan", "tradeoff-eta-inf", "bounds-eta-nan",
-        "bounds-eta-inf", "simulate-eta-nan", "simulate-eta-inf"])
+        "bounds-eta-inf", "simulate-eta-nan", "simulate-eta-inf", "asymptotics-rate-nan"])
 def test_non_finite_budget_or_threshold_exits_2(argv, bern03, tmp_path, capsys):
     out = tmp_path / "x.out"
     assert main(argv + ["--source", bern03, "--out", str(out)]) == 2

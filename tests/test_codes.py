@@ -22,6 +22,7 @@ from overflowlab import (
     string_budget,
     validate_counting_condition,
 )
+from overflowlab._util import count_mass
 
 GRID = orc.grid_distributions()
 BINARY = [g for g in GRID if len(g) == 2]
@@ -101,6 +102,27 @@ def test_construct_code_counting_always_holds():
             for eps in (0.0, 0.1, 1 / 3):
                 c = construct_code(spectrum_of(probs, n), eps)
                 assert validate_counting_condition(c).ok
+
+
+def _leftover_loop(s, code):
+    """Reference: the atom-by-atom error mass the one-fsum version replaced."""
+    taken = {a.atom: a.count for a in code.assignments}
+    parts = []
+    for i, (count, lp, mass) in enumerate(zip(s.counts, s.log_probs.tolist(),
+                                              s.masses.tolist())):
+        left = count - taken.get(i, 0)
+        if left == count:
+            parts.append(mass)
+        elif left > 0:
+            parts.append(count_mass(left, lp))
+    return math.fsum(parts)
+
+
+@given(st.sampled_from(GRID), st.integers(1, 30), st.floats(0.0, 0.999))
+def test_construct_code_error_mass_equals_loop(probs, n, eps):
+    s = spectrum_of(probs, n)
+    code = construct_code(s, eps)
+    assert code.error_mass == _leftover_loop(s, code)
 
 
 @pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])

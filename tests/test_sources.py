@@ -153,11 +153,21 @@ def test_type_ceiling_raises():
 def test_spectrum_validation_rejects_disorder():
     good = iid_spectrum(make_distribution([0.3, 0.7]), 2)
     with pytest.raises(NumericError):
-        Spectrum(n=2, base=2, atoms=tuple(reversed(good.atoms)))
+        Spectrum(n=2, base=2, log_probs=good.log_probs[::-1], counts=good.counts[::-1])
     with pytest.raises(NumericError):
-        Spectrum(n=2, base=2, atoms=(SpectrumAtom(-1.0, 0, 0.5),))
+        Spectrum(n=2, base=2, log_probs=[-1.0], counts=(0,))
     with pytest.raises(NumericError):
-        Spectrum(n=2, base=2, atoms=())
+        Spectrum(n=2, base=2, log_probs=[], counts=())
+    with pytest.raises(NumericError):
+        Spectrum(n=2, base=2, log_probs=good.log_probs, counts=good.counts[:-1])
+
+
+def test_atoms_view_reads_the_columns_once():
+    s = iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 6)
+    assert s.atoms is s.atoms
+    assert s.atoms == tuple(SpectrumAtom(lp, c, m) for lp, c, m in
+                            zip(s.log_probs.tolist(), s.counts, s.masses.tolist()))
+    assert all(type(a.log_prob_per_seq) is float and type(a.mass) is float for a in s.atoms)
 
 
 def test_prefix_and_suffix_masses_are_complementary():

@@ -4,7 +4,7 @@ constrained tail minimization, and the finite-n quantile thresholds."""
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import _oracle as orc
 from overflowlab import (
@@ -21,6 +21,8 @@ from overflowlab import (
     tail_mass,
     top_probability_prefix,
 )
+from overflowlab._util import count_mass, split_count
+from overflowlab.tails import _greedy_prefix
 
 GRID = orc.grid_distributions()
 
@@ -85,6 +87,16 @@ def test_tail_mass_monotone_and_comparator_ordered(probs, n, rate):
     assert tail_mass(s, rate + 0.25, Comparator.STRICT) <= strict + 1e-15
 
 
+@pytest.mark.parametrize("query", [
+    lambda s, rate: tail_mass(s, rate),
+    lambda s, rate: tail_mass(s, rate, Comparator.NON_STRICT),
+    lambda s, rate: restricted_tail_inf(s, 0.1, rate),
+], ids=["tail-strict", "tail-non-strict", "restricted"])
+def test_tail_queries_reject_nan_rate(query):
+    with pytest.raises(ValidationError):
+        query(spectrum_of((0.3, 0.7), 8), math.nan)
+
+
 # ---------------------------------------------------------------------------
 # top_probability_prefix / selection_log_mass
 # ---------------------------------------------------------------------------
@@ -124,6 +136,43 @@ def test_prefix_takes_all_when_target_unreachable():
     sel = top_probability_prefix(s, 1.5)
     assert sel.full_atoms == len(s.atoms)
     assert sel.num_sequences == 4
+
+
+def test_prefix_rejects_nan_target():
+    with pytest.raises(ValidationError):
+        top_probability_prefix(spectrum_of((0.3, 0.7), 8), math.nan)
+
+
+def _prefix_loop(s, start, target):
+    """Reference: the atom-by-atom running sum the vectorised prefix replaced."""
+    cum, seqs = 0.0, 0
+    for i in range(start, len(s)):
+        lp, count, mass = float(s.log_probs[i]), s.counts[i], float(s.masses[i])
+        if cum + mass < target - 1e-12:
+            cum += mass
+            seqs += count
+            continue
+        k = split_count(math.log(target - cum), lp, count, "cover")
+        if k == count:
+            return (i + 1, 0, cum + mass, seqs + count)
+        return (i, k, cum + count_mass(k, lp), seqs + k)
+    return (len(s), 0, cum, seqs)
+
+
+@given(st.sampled_from(GRID), st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, 2e-12, 1e-3, 0.2]))
+def test_prefix_equals_running_sum_loop(probs, n, start_frac, stop_frac, offset):
+    s = spectrum_of(probs, n)
+    start = int(start_frac * len(s))
+    stop = start + int(stop_frac * (len(s) - start))
+    # Targets on and next to a running sum, where the 1e-12 allowance decides.
+    target = offset
+    for mass in s.masses[start:stop].tolist():
+        target += mass
+    assume(target > 0.0)
+    sel = _greedy_prefix(s, start, target)
+    got = (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences)
+    assert got == _prefix_loop(s, start, target)
 
 
 @pytest.mark.parametrize("probs", SLICE)
