@@ -1,8 +1,10 @@
-"""Small numeric helpers: range checks, compensated summation and guarded integer splits."""
+"""Small numeric helpers: range checks, compensated and exact summation, doubling
+searches and guarded integer splits."""
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -92,6 +94,33 @@ def count_mass(k: int, lp: float) -> float:
     return math.exp(math.log(k) + lp)
 
 
+# Items in the first run of a doubling search; each further run doubles, so a
+# search that ends w items in costs O(log w) vector passes, not one pass over
+# everything.
+FIRST_RUN = 256
+
+
+def doubling_runs(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) covering [start, stop), of FIRST_RUN,
+    2 * FIRST_RUN, 4 * FIRST_RUN, ... items (the last one cut at ``stop``)."""
+    size = FIRST_RUN
+    while start < stop:
+        yield start, min(start + size, stop)
+        start += size
+        size *= 2
+
+
+# Every finite double is an integer multiple of 2**-1074, the least subnormal,
+# so a sum of doubles is exact as an integer count of that unit.
+UNIT_BITS = 1074
+
+
+def exact_units(x: float) -> int:
+    """The finite float ``x`` as an exact integer multiple of 2**-UNIT_BITS."""
+    num, den = x.as_integer_ratio()  # den is a power of two, at most 2**UNIT_BITS
+    return num << (UNIT_BITS + 1 - den.bit_length())
+
+
 def neumaier_cumsum(values: np.ndarray) -> np.ndarray:
     """Running sums of ``values`` with Neumaier compensation.
 
@@ -99,18 +128,19 @@ def neumaier_cumsum(values: np.ndarray) -> np.ndarray:
     with a carried correction term, so long spectra do not drift at the
     1e-12 scale the tests care about.
     """
-    out = np.empty(len(values), dtype=float)
+    out = []
     total = 0.0
     comp = 0.0
-    for i, v in enumerate(values):
+    # Python floats, not numpy scalars: the same IEEE operations, done faster.
+    for v in np.asarray(values, dtype=float).tolist():
         t = total + v
         if abs(total) >= abs(v):
             comp += (total - t) + v
         else:
             comp += (v - t) + total
         total = t
-        out[i] = total + comp
-    return out
+        out.append(total + comp)
+    return np.array(out, dtype=float)
 
 
 def suffix_sums(values: np.ndarray) -> np.ndarray:

@@ -36,10 +36,10 @@ def _selection_mass_below(s: Spectrum, sel: PrefixSelection, ln_thresh: float) -
     """
     b = sel.full_atoms
     first = int(np.searchsorted(-s.log_probs, -ln_thresh, side="left"))
-    parts = s.masses[first:b].tolist()
+    boundary = ()
     if first <= b < len(s):
-        parts.append(count_mass(sel.boundary_taken, float(s.log_probs[b])))
-    return math.fsum(parts)
+        boundary = (count_mass(sel.boundary_taken, float(s.log_probs[b])),)
+    return s.mass_sum(min(first, b), b, extra=boundary)
 
 
 def achievability_bound(s: Spectrum, eps: float, a_n: float, eta: float) -> float:

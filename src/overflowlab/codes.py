@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budgets, check_range, count_mass, guarded_ceil, split_count
+from ._util import (check_budgets, check_range, count_mass, doubling_runs, guarded_ceil,
+                    split_count)
 from .errors import ValidationError
 from .sources import Distribution, Spectrum, _type_classes
 from .tails import PrefixSelection, selection_log_mass, top_probability_prefix
@@ -101,7 +103,7 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     err = 0.0
     if b < len(s):
         rest = count_mass(s.counts[b] - sel.boundary_taken, float(s.log_probs[b]))
-        err = math.fsum([rest, *s.masses[b + 1:].tolist()])
+        err = s.mass_sum(b + 1, extra=(rest,))
     return CodeSpec(n=s.n, base=s.base, decode_set_mass=sel.mass, error_mass=err,
                     assignments=tuple(assignments), junk_length=1, spectrum=s)
 
@@ -163,6 +165,25 @@ class TradeoffPoint:
     budget: int  # number of decodable strings, sum_{i<=floor(eta)} K^i
 
 
+def _junk_whole_run(masses: np.ndarray, i: int, left: float) -> tuple[int, float]:
+    """Junk whole atoms from ``i`` on while each still fits the budget ``left``.
+
+    Returns the first atom not junked and the budget left before it, which is
+    <= 0 when the budget ran out.  np.subtract.accumulate subtracts in order,
+    so every running budget equals the one an atom-by-atom loop computes.
+    """
+    for lo, hi in doubling_runs(i, len(masses)):
+        run = masses[lo:hi]
+        running = np.subtract.accumulate(np.concatenate(([left], run)))
+        before = running[:-1]
+        stops = np.flatnonzero((before <= 0.0) | (run > before * (1.0 + 1e-9)))
+        if len(stops):
+            j = int(stops[0])
+            return lo + j, float(before[j])
+        left = float(running[-1])
+    return len(masses), left
+
+
 def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     """Least overflow probability at length threshold ``eta`` and error budget ``eps``.
 
@@ -173,6 +194,8 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     granularity).  Junked sequences share the length-1 junk string, so they
     never overflow; delta_star is the mass left over.
 
+    The walk stops once the budget is spent; delta_star is then the correctly
+    rounded exact sum of what the walk left over and every atom past it.
     delta_star is a step function of floor(eta): only the integer part of the
     threshold buys strings.
     """
@@ -185,31 +208,52 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     cum_counts = s.cumulative_counts
     b = bisect.bisect_left(cum_counts, m_budget)
     # Error budget: junk the heaviest sequences that still fit, heaviest first;
-    # what is neither decoded nor junked overflows.  Only the undecoded count
-    # of each atom is kept, so a junked atom costs no big-integer copy.
+    # what is neither decoded nor junked overflows.  Atom i has ``avail``
+    # sequences neither decoded nor junked; ``over`` holds the overflow mass
+    # of the atoms the walk has passed.
     left = eps
     over = []
-    undecoded = (cum_counts[b] - m_budget,) + s.counts[b + 1:]
-    for avail, count, lp, mass in zip(undecoded, s.counts[b:], s.log_probs[b:].tolist(),
-                                      s.masses[b:].tolist()):
+    i, avail = b, cum_counts[b] - m_budget
+    while True:
+        lp = float(s.log_probs[i])
         if left > 0.0 and avail > 0:
-            avail_mass = count_mass(avail, lp)
+            avail_mass = float(s.masses[i]) if avail == s.counts[i] else count_mass(avail, lp)
             if avail_mass <= left * (1.0 + 1e-9):
                 # The whole remainder of the atom fits (up to rounding dust
                 # from earlier subtractions), so take it in one piece; this
                 # keeps the budget decrement from leaving stray mass when the
                 # tail is exactly exhaustible.
                 left = max(left - avail_mass, 0.0)
-                continue
-            k = split_count(math.log(left), lp, avail, "fit")
-            if k > 0:
-                avail -= k
-                left = max(left - count_mass(k, lp), 0.0)
-        if avail == count:
-            over.append(mass)
+                avail = 0
+            else:
+                k = split_count(math.log(left), lp, avail, "fit")
+                if k > 0:
+                    avail -= k
+                    left = max(left - count_mass(k, lp), 0.0)
+        if avail == s.counts[i]:
+            over.append(float(s.masses[i]))
         elif avail > 0:
             over.append(count_mass(avail, lp))
-    return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=max(math.fsum(over), 0.0),
+        i += 1
+        if left == 0.0 or i == len(s):
+            break
+        # Atoms whose one sequence outweighs the budget by more than the split
+        # guard take no junk, so they overflow whole.  Log probs descend, so
+        # they form a run.
+        ln_fit = math.log(left) + 1e-6
+        if s.log_probs[i] > ln_fit:
+            j = bisect.bisect_left(s.log_probs, -ln_fit, lo=i + 1, key=operator.neg)
+            over.extend(s.masses[i:j].tolist())
+            i = j
+            if i == len(s):
+                break
+        if s.masses[i] <= left * (1.0 + 1e-9):
+            i, left = _junk_whole_run(s.masses, i, left)
+            left = max(left, 0.0)
+            if left == 0.0 or i == len(s):
+                break
+        avail = s.counts[i]
+    return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=s.mass_sum(i, extra=over),
                          budget=m_budget)
 
 

@@ -5,8 +5,11 @@ A spectrum here is the distribution of the normalized self-information
 granularity and stored as columns: one entry per distinct per-sequence
 probability (an atom), holding its log probability, an arbitrary precision
 integer count of sequences, and the atom's total probability mass.
-A Spectrum's ``atoms`` property is a per-atom view of those columns for
-outside readers.
+Derived columns are cached on first read: rates, compensated prefix and
+suffix masses, cumulative counts, and exact suffix sums of the masses as
+integers in units of 2**-1074, which ``Spectrum.mass_sum`` turns into a
+correctly rounded sum of any run of atoms.  A Spectrum's ``atoms`` property
+is a per-atom view of those columns for outside readers.
 All logarithms are kept in nats internally; rates are converted to base-K
 units (K = the code alphabet size carried by the source) at the API surface.
 """
@@ -21,7 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import ABOVE_ZERO, check_range, neumaier_cumsum, suffix_sums
+from ._util import (ABOVE_ZERO, UNIT_BITS, check_range, exact_units, neumaier_cumsum,
+                    suffix_sums)
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -177,6 +181,29 @@ class Spectrum:
         s = suffix_sums(self.masses)
         s.flags.writeable = False
         return s
+
+    @cached_property
+    def suffix_units(self) -> tuple[int, ...]:
+        """Exact suffix sums of the masses, in units of 2**-1074.
+
+        suffix_units[i] is the exact sum of masses[i:] as an integer, with
+        one extra 0 slot, like ``suffix_mass``.
+        """
+        units = map(exact_units, reversed(self.masses.tolist()))
+        return tuple(itertools.accumulate(units, initial=0))[::-1]
+
+    def mass_sum(self, start: int, stop: int | None = None,
+                 extra: Sequence[float] = ()) -> float:
+        """Correctly rounded sum of ``extra`` and ``masses[start:stop]``.
+
+        Needs 0 <= start <= stop <= len(self).  The exact sum is an integer
+        number of units and int / int division rounds correctly, so the result
+        equals ``math.fsum([*extra, *masses[start:stop]])`` bit for bit.
+        """
+        col = self.suffix_units
+        total = col[start] - col[len(self) if stop is None else stop]
+        total += sum(map(exact_units, extra))
+        return total / (1 << UNIT_BITS)
 
     @cached_property
     def cumulative_counts(self) -> tuple[int, ...]:

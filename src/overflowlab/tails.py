@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budgets, check_range, count_mass, split_count
+from ._util import check_budgets, check_range, count_mass, doubling_runs, split_count
 from .errors import ValidationError
 from .sources import Spectrum
 
@@ -64,6 +64,24 @@ def _count_before(s: Spectrum, i: int) -> int:
     return s.cumulative_counts[i - 1] if i else 0
 
 
+def _reach(masses: np.ndarray, start: int, goal: float) -> tuple[int, float]:
+    """First atom i >= start whose running mass from ``start`` reaches ``goal``,
+    with the running mass before it; (len, total) when none does.
+
+    Sums in doubling runs, each with the running total carried in front, so
+    every running sum equals a left-to-right loop's and the search stops a
+    run past the answer instead of at the end of the spectrum.
+    """
+    cum = 0.0
+    for lo, hi in doubling_runs(start, len(masses)):
+        running = np.cumsum(np.concatenate(([cum], masses[lo:hi])))
+        j = int(np.searchsorted(running[1:], goal, side="left"))
+        if j < hi - lo:
+            return lo + j, float(running[j])
+        cum = float(running[-1])
+    return len(masses), cum
+
+
 def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
     """Smallest descending-probability prefix of atoms [start..) with mass >= target.
 
@@ -73,11 +91,9 @@ def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
     """
     if target <= 0.0:
         return PrefixSelection(full_atoms=start, boundary_taken=0, mass=0.0, num_sequences=0)
-    # The first atom at which the running mass reaches the target (less a
-    # 1e-12 allowance); np.cumsum adds left to right like a loop would.
-    running = np.cumsum(s.masses[start:])
-    i = start + int(np.searchsorted(running, target - 1e-12, side="left"))
-    cum = float(running[i - start - 1]) if i > start else 0.0
+    # The first atom at which the running mass reaches the target, less a
+    # 1e-12 allowance.
+    i, cum = _reach(s.masses, start, target - 1e-12)
     seqs = _count_before(s, i) - _count_before(s, start)
     if i == len(s):
         return PrefixSelection(i, 0, cum, seqs)
@@ -99,12 +115,18 @@ def top_probability_prefix(s: Spectrum, target: float) -> PrefixSelection:
 
 def selection_log_mass(s: Spectrum, sel: PrefixSelection) -> float:
     """Natural log of a selection's mass, alive even where the float mass
-    underflowed to zero (a one-sequence selection at very large n)."""
+    underflowed to zero (a selection of a few sequences at very large n)."""
     if sel.mass > 0.0:
         return math.log(sel.mass)
+    # Log-sum-exp of log(count) + lp over the whole atoms and the boundary slice.
+    b = sel.full_atoms
+    logs = [math.log(count) + lp for count, lp in zip(s.counts[:b], s.log_probs[:b].tolist())]
     if sel.boundary_taken > 0:
-        return math.log(sel.boundary_taken) + float(s.log_probs[sel.full_atoms])
-    raise ValidationError("selection is empty; it has no log mass")
+        logs.append(math.log(sel.boundary_taken) + float(s.log_probs[b]))
+    if not logs:
+        raise ValidationError("selection is empty; it has no log mass")
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 def smooth_max_entropy(s: Spectrum, gamma: float) -> float:

@@ -1,6 +1,8 @@
 """Code construction, the counting condition, exact overflow tradeoffs, and
 the round-trip simulator."""
 
+import bisect
+import functools
 import math
 
 import numpy as np
@@ -8,21 +10,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracle as orc
+import overflowlab.codes as codes_module
 from overflowlab import (
     Assignment,
     CodeSpec,
     ValidationError,
     code_overflow,
     construct_code,
+    entropy,
     iid_spectrum,
     make_distribution,
+    mixed_spectrum,
     optimal_threshold,
     optimal_tradeoff,
     simulate_roundtrip,
     string_budget,
     validate_counting_condition,
+    varentropy,
 )
-from overflowlab._util import count_mass
+from overflowlab._util import FIRST_RUN, count_mass, split_count
 
 GRID = orc.grid_distributions()
 BINARY = [g for g in GRID if len(g) == 2]
@@ -123,6 +129,16 @@ def test_construct_code_error_mass_equals_loop(probs, n, eps):
     s = spectrum_of(probs, n)
     code = construct_code(s, eps)
     assert code.error_mass == _leftover_loop(s, code)
+
+
+def test_construct_code_survives_underflowed_decode_set():
+    # At eps within 1e-12 of 1 the decode set is the single most likely
+    # sequence, whose mass 0.9**8000 underflows a double.
+    s = spectrum_of((0.1, 0.9), 8000)
+    c = construct_code(s, 1 - 1e-12)
+    assert c.decode_set_mass == 0.0
+    assert c.assignments == (Assignment(atom=0, count=1, length=1),)
+    assert validate_counting_condition(c).ok
 
 
 @pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])
@@ -308,6 +324,126 @@ def test_tradeoff_gap_to_subset_optimum_can_be_strict():
     assert greedy == pytest.approx(0.496, abs=1e-12)
     assert best == pytest.approx(0.448, abs=1e-12)
     assert greedy > best + 1e-3
+
+
+def _walk_loop(s, eta, eps):
+    """Reference: the atom-by-atom junk walk over the whole spectrum that the
+    bounded walk replaced; returns (delta_star, budget)."""
+    m_budget = string_budget(s.base, math.floor(eta))
+    if m_budget >= s.total_count:
+        return 0.0, m_budget
+    cum_counts = s.cumulative_counts
+    b = bisect.bisect_left(cum_counts, m_budget)
+    left = eps
+    over = []
+    undecoded = (cum_counts[b] - m_budget,) + s.counts[b + 1:]
+    for avail, count, lp, mass in zip(undecoded, s.counts[b:], s.log_probs[b:].tolist(),
+                                      s.masses[b:].tolist()):
+        if left > 0.0 and avail > 0:
+            avail_mass = count_mass(avail, lp)
+            if avail_mass <= left * (1.0 + 1e-9):
+                left = max(left - avail_mass, 0.0)
+                continue
+            k = split_count(math.log(left), lp, avail, "fit")
+            if k > 0:
+                avail -= k
+                left = max(left - count_mass(k, lp), 0.0)
+        if avail == count:
+            over.append(mass)
+        elif avail > 0:
+            over.append(count_mass(avail, lp))
+    return max(math.fsum(over), 0.0), m_budget
+
+
+def _assert_walk_matches(s, eta, eps):
+    p = optimal_tradeoff(s, eta, eps)
+    assert (p.delta_star, p.budget) == _walk_loop(s, eta, eps)
+
+
+def _log_count(s):
+    return math.log(s.total_count) / math.log(s.base)
+
+
+def _exact_fit_budgets(s, eta, depths=range(40)):
+    """Budgets that the boundary remainder plus the next ``depth`` atoms use up exactly."""
+    m_budget = string_budget(s.base, math.floor(eta))
+    if m_budget >= s.total_count:
+        return []
+    b = bisect.bisect_left(s.cumulative_counts, m_budget)
+    rest = count_mass(s.cumulative_counts[b] - m_budget, float(s.log_probs[b]))
+    sums = [rest]
+    for mass in s.masses[b + 1:b + 1 + max(depths)].tolist():
+        sums.append(sums[-1] + mass)
+    return [sums[d] for d in depths if d < len(sums) and 0.0 < sums[d] < 1.0]
+
+
+# Walks that end on, before and after the edge of each run the junk walk
+# tests in one pass (runs of r, 2r, 4r atoms).
+_RUN_EDGES = [d + e for d in (FIRST_RUN, 3 * FIRST_RUN, 7 * FIRST_RUN) for e in (-1, 0, 1)]
+
+
+EDGE_EPS = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 0.999, 1 - 1e-12]
+
+
+@given(st.sampled_from(GRID), st.integers(1, 40), st.floats(0.0, 1.2),
+       st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 0.999999)))
+def test_tradeoff_equals_walk_loop(probs, n, eta_frac, eps):
+    s = spectrum_of(probs, n)
+    eta = max(1.0, eta_frac * _log_count(s))
+    _assert_walk_matches(s, eta, eps)
+
+
+@given(st.sampled_from(BINARY), st.sampled_from(BINARY), st.floats(0.05, 0.95),
+       st.integers(1, 60), st.floats(0.0, 1.2),
+       st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 0.999999)))
+def test_tradeoff_equals_walk_loop_on_mixtures(p1, p2, w1, n, eta_frac, eps):
+    s = mixed_spectrum(make_distribution(p1), make_distribution(p2), w1, n)
+    eta = max(1.0, eta_frac * _log_count(s))
+    _assert_walk_matches(s, eta, eps)
+
+
+@pytest.mark.parametrize("probs,n", [((0.3, 0.7), 12), ((0.1, 0.9), 200),
+                                     ((0.2, 0.3, 0.5), 9), ((0.1, 0.1, 0.8), 25)])
+def test_tradeoff_equals_walk_loop_at_the_edges(probs, n):
+    s = spectrum_of(probs, n)
+    log_count = _log_count(s)
+    etas = [1, 1.5, 2, log_count / 2, log_count - 1, log_count, log_count + 1, 10 * log_count]
+    for eta in etas:
+        eta = max(1.0, eta)
+        for eps in EDGE_EPS + _exact_fit_budgets(s, eta):
+            _assert_walk_matches(s, eta, eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _binary_20000():
+    d = make_distribution([0.11, 0.89])
+    nh = 20000 * entropy(d)
+    sd = math.sqrt(20000 * varentropy(d))
+    return iid_spectrum(d, 20000), nh, sd
+
+
+@pytest.mark.parametrize("shift", [-2.0, -0.5, 0.5, 3.0])
+def test_tradeoff_equals_walk_loop_at_large_n(shift):
+    s, nh, sd = _binary_20000()
+    eta = nh + shift * sd
+    for eps in [0.0, 1e-6, 1e-3, 0.05, 0.3, 0.9] + _exact_fit_budgets(s, eta, _RUN_EDGES):
+        _assert_walk_matches(s, eta, eps)
+
+
+def test_tradeoff_work_is_bounded(monkeypatch):
+    # Past nH + 3 sd the whole tail fits a 0.1 budget; a walk that touched
+    # every atom past the top-M split would price each one (~17,700 calls).
+    s, nh, sd = _binary_20000()
+    calls = 0
+
+    def counting(k, lp):
+        nonlocal calls
+        calls += 1
+        return count_mass(k, lp)
+
+    monkeypatch.setattr(codes_module, "count_mass", counting)
+    assert optimal_tradeoff(s, nh + 3 * sd, 0.1).delta_star == 0.0
+    assert calls < 100
 
 
 def test_tradeoff_validation():

@@ -1,6 +1,7 @@
 """Source models and spectra against explicit sequence enumeration."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from overflowlab import (
     sample_sequences,
     switching_spectrum,
 )
+from overflowlab._util import neumaier_cumsum
 
 
 GRID = orc.grid_distributions()
@@ -174,6 +176,76 @@ def test_prefix_and_suffix_masses_are_complementary():
     s = iid_spectrum(make_distribution([0.1, 0.4, 0.5]), 6)
     for i in range(len(s.atoms)):
         assert abs(float(s.prefix_mass[i]) + float(s.suffix_mass[i + 1]) - 1.0) <= 1e-12
+
+
+# Masses 1.0, of mixed magnitude, subnormal (exp(-740), exp(-744)) and
+# underflowed to zero (exp(-800)).
+_SPECIAL = Spectrum(n=1, base=2, log_probs=[0.0, -0.7, -3.0, -40.0, -700.0, -740.0,
+                                            -744.0, -800.0, -900.0],
+                    counts=(1, 1, 1, 1, 1, 1, 1, 1, 1))
+_EXTRAS = [(), (0.0,), (5e-324,), (1.0,), (0.3, 1e-300), (2.2250738585072014e-308, 0.1, 0.2)]
+
+
+def test_special_masses_cover_zero_subnormal_and_one():
+    masses = _SPECIAL.masses.tolist()
+    assert masses[0] == 1.0 and masses[-1] == 0.0
+    assert 0.0 < masses[5] < 2.2250738585072014e-308
+
+
+def test_mass_sum_equals_fsum():
+    s = _SPECIAL
+    masses = s.masses.tolist()
+    for start in range(len(s) + 1):
+        for stop in range(start, len(s) + 1):
+            for extra in _EXTRAS:
+                want = math.fsum([*extra, *masses[start:stop]])
+                assert s.mass_sum(start, stop, extra) == want
+        assert s.mass_sum(start) == math.fsum(masses[start:])
+
+
+@given(st.sampled_from(GRID), st.integers(1, 40), st.data())
+def test_mass_sum_equals_fsum_on_spectra(probs, n, data):
+    s = iid_spectrum(make_distribution(probs), n)
+    start = data.draw(st.integers(0, len(s)))
+    stop = data.draw(st.integers(start, len(s)))
+    extra = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324])),
+                               max_size=4))
+    assert s.mass_sum(start, stop, extra) == math.fsum([*extra, *s.masses[start:stop].tolist()])
+
+
+def test_suffix_units_are_exact():
+    for s in (_SPECIAL, iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 7)):
+        masses = [Fraction(m) for m in s.masses.tolist()]
+        assert len(s.suffix_units) == len(s) + 1
+        for i, units in enumerate(s.suffix_units):
+            assert Fraction(units, 2 ** 1074) == sum(masses[i:], Fraction(0))
+
+
+def _neumaier_scalar_loop(values):
+    """Reference: the compensated running sum over numpy scalars."""
+    out = np.empty(len(values), dtype=float)
+    total = 0.0
+    comp = 0.0
+    for i, v in enumerate(values):
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out[i] = total + comp
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neumaier_cumsum_equals_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 3000))
+    values = rng.random(size) * 10.0 ** rng.integers(-300, 3, size)
+    values[rng.random(size) < 0.1] *= -1.0
+    got = neumaier_cumsum(values)
+    assert got.dtype == np.float64 and got.shape == (size,)
+    assert got.tobytes() == _neumaier_scalar_loop(values).tobytes()
 
 
 @given(st.sampled_from(GRID), st.integers(min_value=1, max_value=6))

@@ -21,7 +21,7 @@ from overflowlab import (
     tail_mass,
     top_probability_prefix,
 )
-from overflowlab._util import count_mass, split_count
+from overflowlab._util import FIRST_RUN, count_mass, split_count
 from overflowlab.tails import _greedy_prefix
 
 GRID = orc.grid_distributions()
@@ -175,6 +175,26 @@ def test_prefix_equals_running_sum_loop(probs, n, start_frac, stop_frac, offset)
     assert got == _prefix_loop(s, start, target)
 
 
+@pytest.mark.parametrize("probs,n", [((0.3, 0.7), 2000), ((0.2, 0.3, 0.5), 45)])
+@pytest.mark.parametrize("start", [0, 5])
+def test_prefix_equals_loop_across_search_runs(probs, n, start):
+    # The search sums runs of r, 2r, 4r, ... atoms; put the boundary on,
+    # before and after the edge of each run, and past the end.
+    s = spectrum_of(probs, n)
+    r = FIRST_RUN
+    assert len(s) > 3 * r + start + 1
+    for depth in (r - 1, r, r + 1, 3 * r - 1, 3 * r, 3 * r + 1, 7 * r, len(s)):
+        stop = min(start + depth, len(s))
+        running = 0.0
+        for mass in s.masses[start:stop].tolist():
+            running += mass
+        for target in (running, running - 5e-13, running + 5e-13, running + 1e-3, 1.5):
+            if target > 0.0:
+                sel = _greedy_prefix(s, start, target)
+                got = (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences)
+                assert got == _prefix_loop(s, start, target)
+
+
 @pytest.mark.parametrize("probs", SLICE)
 @pytest.mark.parametrize("n", [1, 3, 5])
 @pytest.mark.parametrize("target", [1 / 7, 0.5, 6 / 7])
@@ -197,6 +217,24 @@ def test_selection_log_mass_survives_underflow():
     s = spectrum_of((0.3, 0.7), 3000)
     sel = PrefixSelection(full_atoms=0, boundary_taken=1, mass=0.0, num_sequences=1)
     assert selection_log_mass(s, sel) == pytest.approx(3000 * math.log(0.7), rel=1e-15)
+
+
+def test_selection_log_mass_of_underflowed_whole_atoms():
+    # The one most likely sequence at n = 8000 is a whole atom of mass
+    # 0.9**8000, which underflows to 0.0.
+    s = spectrum_of((0.1, 0.9), 8000)
+    sel = top_probability_prefix(s, 1e-12)
+    assert (sel.full_atoms, sel.boundary_taken, sel.mass) == (1, 0, 0.0)
+    assert selection_log_mass(s, sel) == pytest.approx(8000 * math.log(0.9), rel=1e-15)
+
+
+def test_selection_log_mass_sums_whole_atoms_and_slice_in_logs():
+    s = spectrum_of((0.1, 0.9), 8000)
+    sel = PrefixSelection(full_atoms=2, boundary_taken=3, mass=0.0, num_sequences=8004)
+    lp0, lp1, lp2 = s.log_probs[:3].tolist()
+    want = lp0 + math.log1p(8000 * math.exp(lp1 - lp0) + 3 * math.exp(lp2 - lp0))
+    assert s.counts[:2] == (1, 8000)
+    assert selection_log_mass(s, sel) == pytest.approx(want, rel=1e-15)
 
 
 def test_selection_log_mass_rejects_empty():
