@@ -15,11 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import ABOVE_ONE, ABOVE_ZERO, check_range, count_mass
+from ._util import ABOVE_ONE, ABOVE_ZERO, check_range
 from .codes import _decode_selection, code_overflow, construct_code, optimal_tradeoff
 from .errors import TheoremViolation
 from .sources import Spectrum
-from .tails import PrefixSelection, selection_log_mass, top_probability_prefix
+from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
+                    top_probability_prefix)
 
 __all__ = [
     "BoundReport", "achievability_bound", "converse_bound",
@@ -28,18 +29,10 @@ __all__ = [
 
 
 def _selection_mass_below(s: Spectrum, sel: PrefixSelection, ln_thresh: float) -> float:
-    """Mass of the selected sequences whose per-sequence log prob is <= ln_thresh.
-
-    The selection is a top-probability prefix, so the qualifying sequences
-    form the light end of the selection: whole atoms from the first one at or
-    below the threshold up to the boundary, plus the boundary slice.
-    """
-    b = sel.full_atoms
+    """Mass of the selected sequences whose per-sequence log prob is <= ln_thresh:
+    the light end of the selection, from the first atom at or below it."""
     first = int(np.searchsorted(-s.log_probs, -ln_thresh, side="left"))
-    boundary = ()
-    if first <= b < len(s):
-        boundary = (count_mass(sel.boundary_taken, float(s.log_probs[b])),)
-    return s.mass_sum(min(first, b), b, extra=boundary)
+    return selection_mass_from(s, sel, first)
 
 
 def achievability_bound(s: Spectrum, eps: float, a_n: float, eta: float) -> float:

@@ -6,6 +6,10 @@ of length <= t.  Sequences outside the decode set all share a single
 length-1 junk string; they count as errors, and a junk collision with a
 decoded string resolves to the decoded sequence (the colliding sequence was
 an error regardless of what the decoder outputs).
+
+A ``CodeSpec`` is columns over its spectrum: the decode selection and one
+read-only array of codeword lengths, one per decoded atom.  Every query reads
+those; ``CodeSpec.assignments`` is a per-atom view for outside readers.
 """
 
 from __future__ import annotations
@@ -14,14 +18,16 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._util import (check_budgets, check_range, count_mass, doubling_runs, guarded_ceil,
-                    split_count)
+from ._util import SPLIT_GUARD, check_budgets, check_range, count_mass, doubling_runs, split_count
 from .errors import ValidationError
-from .sources import Distribution, Spectrum, _type_classes
-from .tails import PrefixSelection, selection_log_mass, top_probability_prefix
+from .sources import (DEFAULT_TYPE_CEILING, Distribution, Spectrum, _check_ceiling,
+                      _type_classes)
+from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
+                    top_probability_prefix)
 
 __all__ = [
     "Assignment", "CodeSpec", "TradeoffPoint", "CountingReport",
@@ -39,22 +45,41 @@ class Assignment:
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
-    """A deterministic code at type granularity.
+    """A deterministic code at type granularity, compared by identity.
 
-    Within a split atom the decoded part is, by convention, the
+    ``selection`` is the decode set and ``lengths[i]`` the codeword length of
+    decoded atom i, non-decreasing since heavier atoms never get longer
+    codewords.  Within a split atom the decoded part is, by convention, the
     lexicographically smallest sequences of the atom (signature-major order);
     the convention only matters to the simulator, never to any probability.
     """
 
-    n: int
-    base: int
-    decode_set_mass: float
+    spectrum: Spectrum
+    selection: PrefixSelection
+    lengths: np.ndarray
     error_mass: float
-    assignments: tuple[Assignment, ...]
-    junk_length: int = 1
-    spectrum: Spectrum | None = None
+
+    def __post_init__(self) -> None:
+        sel = self.selection
+        lengths = np.array(self.lengths, dtype=np.int64)
+        decoded = sel.full_atoms + (sel.boundary_taken > 0)
+        if lengths.shape != (decoded,) or np.any(np.diff(lengths) < 0):
+            raise ValidationError("lengths: need one per decoded atom, non-decreasing")
+        lengths.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+
+    n = property(lambda self: self.spectrum.n)
+    base = property(lambda self: self.spectrum.base)
+    decode_set_mass = property(lambda self: self.selection.mass)
+
+    @cached_property
+    def assignments(self) -> tuple[Assignment, ...]:
+        """One Assignment per decoded atom, built on first read from the columns."""
+        sel = self.selection
+        counts = self.spectrum.counts[:sel.full_atoms] + (sel.boundary_taken,)
+        return tuple(map(Assignment, range(len(self.lengths)), counts, self.lengths.tolist()))
 
 
 def string_budget(base: int, floor_eta: int) -> int:
@@ -88,41 +113,28 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     """
     check_range("eps", eps, 0, 1)
     sel = _decode_selection(s, eps)
-    ln_pa = selection_log_mass(s, sel)
-    ln_base = math.log(s.base)
     b = sel.full_atoms
-    # Atoms [0, b) are decoded whole and boundary_taken sequences of atom b,
-    # which exists unless the decode set is the whole spectrum.
-    decoded = s.counts[:b] + (sel.boundary_taken,)
-    assignments = [
-        Assignment(atom=i, count=count,
-                   length=max(1, guarded_ceil((ln_pa - lp) / ln_base)))
-        for i, (count, lp) in enumerate(zip(decoded, s.log_probs[:b + 1].tolist()))
-        if count
-    ]
+    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0;
+    # the same IEEE operations as guarded_ceil, one per decoded atom.
+    ln_ratio = selection_log_mass(s, sel) - s.log_probs[:b + (sel.boundary_taken > 0)]
+    lengths = np.maximum(np.ceil(ln_ratio / math.log(s.base) - SPLIT_GUARD), 1.0)
     err = 0.0
     if b < len(s):
         rest = count_mass(s.counts[b] - sel.boundary_taken, float(s.log_probs[b]))
         err = s.mass_sum(b + 1, extra=(rest,))
-    return CodeSpec(n=s.n, base=s.base, decode_set_mass=sel.mass, error_mass=err,
-                    assignments=tuple(assignments), junk_length=1, spectrum=s)
+    return CodeSpec(spectrum=s, selection=sel, lengths=lengths, error_mass=err)
 
 
 def code_overflow(c: CodeSpec, eta: float) -> float:
     """Probability that the emitted codeword is longer than ``eta``.
 
-    Junked sequences emit the length-1 junk string, which never overflows
-    for eta >= 1.
+    Lengths are non-decreasing, so the overflowing atoms are the light end
+    of the decode set.  Junked sequences emit the length-1 junk string,
+    which never overflows for eta >= 1.
     """
     check_range("eta", eta, 1, math.inf)
-    if c.spectrum is None:
-        raise ValidationError("code has no spectrum attached; overflow needs masses")
-    long = [a for a in c.assignments if a.length > eta]
-    lps = c.spectrum.log_probs[[a.atom for a in long]].tolist()
-    over = [count_mass(a.count, lp) for a, lp in zip(long, lps)]
-    if c.junk_length > eta:
-        over.append(c.error_mass)
-    return math.fsum(over)
+    first = int(np.searchsorted(c.lengths, eta, side="right"))
+    return selection_mass_from(c.spectrum, c.selection, first)
 
 
 @dataclass(frozen=True)
@@ -140,16 +152,21 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
     strings of length <= t must not exceed sum_{i=1..t} K^i (exact integers).
     The junk string carries no decoding, so it consumes no budget.
     """
-    by_length: dict[int, int] = {}
-    for a in c.assignments:
-        if a.length < 1:
-            return CountingReport(ok=False, first_violation=(a.length, a.count, 0))
-        by_length[a.length] = by_length.get(a.length, 0) + a.count
-    cum = 0
-    for t in sorted(by_length):
-        cum += by_length[t]
-        budget = string_budget(c.base, t)
-        if cum > budget:
+    s, sel, lengths = c.spectrum, c.selection, c.lengths
+    b = sel.full_atoms
+    if lengths[0] < 1:
+        first_count = s.counts[0] if b else sel.boundary_taken
+        return CountingReport(ok=False, first_violation=(int(lengths[0]), first_count, 0))
+    # Lengths are non-decreasing, so each distinct length ends a run of atoms
+    # and the decoded count up to it is a prefix count.
+    boundary_cum = (s.cumulative_counts[b - 1] if b else 0) + sel.boundary_taken
+    run_ends = [*np.flatnonzero(np.diff(lengths)).tolist(), len(lengths) - 1]
+    for i, t in zip(run_ends, lengths[run_ends].tolist()):
+        cum = s.cumulative_counts[i] if i < b else boundary_cum
+        # The budget is >= K^t, so a count one bit shorter than t log2 K fits
+        # without building it; the spare bit absorbs the float rounding.
+        if cum.bit_length() > t * math.log2(s.base) - 1 and cum > (
+                budget := string_budget(s.base, t)):
             return CountingReport(ok=False, first_violation=(t, cum, budget))
     return CountingReport(ok=True, first_violation=None)
 
@@ -284,15 +301,6 @@ def optimal_threshold(s: Spectrum, eps: float, delta: float) -> int:
 # Round-trip simulation
 
 
-def _multiset_count(counts: list[int], span: int) -> int:
-    """Arrangements of a multiset with ``span`` remaining positions."""
-    out = math.factorial(span)
-    for c in counts:
-        if c > 1:
-            out //= math.factorial(c)
-    return out
-
-
 def _rank_within_type(seq: np.ndarray, counts: list[int]) -> int:
     """Lexicographic rank of ``seq`` among arrangements of its own multiset."""
     remaining = list(counts)
@@ -303,7 +311,8 @@ def _rank_within_type(seq: np.ndarray, counts: list[int]) -> int:
         for smaller in range(sym):
             if remaining[smaller] > 0:
                 remaining[smaller] -= 1
-                rank += _multiset_count(remaining, span)
+                # Arrangements of the remaining multiset over ``span`` positions.
+                rank += math.factorial(span) // math.prod(map(math.factorial, remaining))
                 remaining[smaller] += 1
         remaining[sym] -= 1
     return rank
@@ -319,15 +328,16 @@ def _atom_type_groups(s: Spectrum, d: Distribution,
     """
     probs = np.asarray(d.probs)
     support = [i for i in range(d.alphabet_size) if probs[i] > 0.0]
+    # Every composition over the uncollapsed support is enumerated.
+    _check_ceiling(s.n, len(support), DEFAULT_TYPE_CEILING)
     lnp = {i: math.log(probs[i]) for i in support}
     lps = s.log_probs
     groups = []
     for comp, count in _type_classes(s.n, [1] * len(support)):
         lp = math.fsum(k * lnp[sym] for k, sym in zip(comp, support) if k)
-        j = int(np.argmin(np.abs(lps - lp)))
-        if j != atom:
-            continue
-        if abs(lps[j] - lp) > 1e-9 * max(1.0, abs(lp)):
+        # In ``atom`` if within tolerance of it and nearest to it, tested in that order.
+        if (abs(lps[atom] - lp) > 1e-9 * max(1.0, abs(lp))
+                or int(np.argmin(np.abs(lps - lp))) != atom):
             continue
         sig = [0] * d.alphabet_size
         for k, sym in zip(comp, support):
@@ -357,15 +367,13 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
     then lexicographic arrangement), so two runs on the same samples always
     agree.  Sequences are matched to atoms by their log probability.
     """
-    if c.spectrum is None:
-        raise ValidationError("code has no spectrum attached")
     check_range("eta", eta, 1, math.inf)
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] != c.n:
         raise ValidationError(f"samples: expected shape (count, {c.n})")
     if len(samples) == 0:
         raise ValidationError("samples: need at least one row")
-    s = c.spectrum
+    s, sel = c.spectrum, c.selection
     with np.errstate(divide="ignore"):
         lnp = np.log(np.asarray(d.probs))
     lp = lnp[samples].sum(axis=1)
@@ -379,34 +387,20 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
     if np.any(np.abs(descending[idx] - lp) > 1e-9 * np.maximum(1.0, np.abs(lp))):
         raise ValidationError("samples: a sequence does not match any spectrum atom")
 
-    assigned = {a.atom: a.count for a in c.assignments}
-    full = np.zeros(len(s), dtype=bool)
-    none = np.ones(len(s), dtype=bool)
-    length_over = np.zeros(len(s), dtype=bool)
-    for a in c.assignments:
-        full[a.atom] = a.count >= s.counts[a.atom]
-        none[a.atom] = a.count == 0
-        length_over[a.atom] = a.length > eta
-
-    is_full = full[idx]
-    is_none = none[idx]
+    # Atoms [0, b) are decoded whole; atom b, when decoded, is split unless
+    # its slice is the whole atom (a one-sequence atom).
+    b, decoded = sel.full_atoms, len(c.lengths)
+    whole = b + int(decoded > b and sel.boundary_taken >= s.counts[b])
+    is_full = idx < whole
+    is_none = idx >= decoded
     errors = int(np.count_nonzero(is_none))
-    overflows = int(np.count_nonzero(is_full & length_over[idx]))
+    overflows = int(np.count_nonzero(c.lengths[idx[is_full]] > eta))
 
-    split_rows = np.nonzero(~(is_full | is_none))[0]
-    group_cache: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for r in split_rows:
-        atom = int(idx[r])
-        groups = group_cache.get(atom)
-        if groups is None:
-            groups = _atom_type_groups(s, d, atom)
-            group_cache[atom] = groups
-        if _rank_within_atom(samples[r], groups) < assigned[atom]:
-            if length_over[atom]:
-                overflows += 1
-        else:
-            errors += 1
-    if c.junk_length > eta:
-        overflows += errors
-    n_samples = len(samples)
-    return errors / n_samples, overflows / n_samples
+    split_rows = np.flatnonzero(~(is_full | is_none))
+    if len(split_rows):
+        groups = _atom_type_groups(s, d, b)
+        kept = sum(_rank_within_atom(samples[r], groups) < sel.boundary_taken
+                   for r in split_rows)
+        errors += len(split_rows) - kept
+        overflows += kept * int(c.lengths[b] > eta)
+    return errors / len(samples), overflows / len(samples)

@@ -129,6 +129,16 @@ def selection_log_mass(s: Spectrum, sel: PrefixSelection) -> float:
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
+def selection_mass_from(s: Spectrum, sel: PrefixSelection, first: int) -> float:
+    """Mass of the selected sequences in atoms ``first`` on, correctly rounded:
+    whole atoms up to the boundary, plus the boundary slice."""
+    b = sel.full_atoms
+    boundary = ()
+    if first <= b < len(s):
+        boundary = (count_mass(sel.boundary_taken, float(s.log_probs[b])),)
+    return s.mass_sum(min(first, b), b, extra=boundary)
+
+
 def smooth_max_entropy(s: Spectrum, gamma: float) -> float:
     """log_K of the least number of sequences capturing mass 1 - gamma.
 

@@ -14,6 +14,8 @@ import overflowlab.codes as codes_module
 from overflowlab import (
     Assignment,
     CodeSpec,
+    PrefixSelection,
+    Spectrum,
     ValidationError,
     code_overflow,
     construct_code,
@@ -67,7 +69,6 @@ def test_construct_code_uniform_split():
     assert c.assignments == (Assignment(atom=0, count=3, length=2),)
     assert c.decode_set_mass == pytest.approx(0.75, abs=1e-12)
     assert c.error_mass == pytest.approx(0.25, abs=1e-12)
-    assert c.junk_length == 1
 
 
 def test_construct_code_zero_error_uniform():
@@ -152,39 +153,75 @@ def test_construct_code_rejects_bad_eps(eps):
 # ---------------------------------------------------------------------------
 
 
-def _bare_spec(assignments, base=2):
-    return CodeSpec(n=2, base=base, decode_set_mass=0.0, error_mass=0.0,
-                    assignments=assignments)
+def _bare_spec(counts, lengths, base=2):
+    """A code that decodes every sequence of atoms with these counts at these lengths."""
+    total = sum(counts)
+    s = Spectrum(n=2, base=base, counts=counts,
+                 log_probs=[-math.log(total) - i for i in range(len(counts))])
+    sel = PrefixSelection(full_atoms=len(counts), boundary_taken=0, mass=0.0,
+                          num_sequences=total)
+    return CodeSpec(spectrum=s, selection=sel, lengths=lengths, error_mass=0.0)
 
 
 def test_counting_rejects_overfull_length_one():
-    r = validate_counting_condition(_bare_spec((Assignment(0, 3, 1),)))
+    r = validate_counting_condition(_bare_spec((3,), (1,)))
     assert not r.ok
     assert r.first_violation == (1, 3, 2)
 
 
 def test_counting_accepts_exactly_full_level():
-    r = validate_counting_condition(_bare_spec((Assignment(0, 2, 1), Assignment(1, 4, 2))))
+    r = validate_counting_condition(_bare_spec((2, 4), (1, 2)))
     assert r.ok
     assert r.first_violation is None
 
 
 def test_counting_is_cumulative_across_lengths():
     # 2 strings of length 1 plus 5 of length <= 2 exceeds the 6-string budget.
-    r = validate_counting_condition(_bare_spec((Assignment(0, 2, 1), Assignment(1, 5, 2))))
+    r = validate_counting_condition(_bare_spec((2, 5), (1, 2)))
     assert not r.ok
     assert r.first_violation == (2, 7, 6)
 
 
 def test_counting_rejects_nonpositive_length():
-    r = validate_counting_condition(_bare_spec((Assignment(0, 1, 0),)))
+    r = validate_counting_condition(_bare_spec((1,), (0,)))
     assert not r.ok
     assert r.first_violation == (0, 1, 0)
 
 
 def test_counting_respects_base():
-    r = validate_counting_condition(_bare_spec((Assignment(0, 3, 1),), base=3))
+    r = validate_counting_condition(_bare_spec((3,), (1,), base=3))
     assert r.ok
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_budget_shortcut_matches_exact_comparison(base):
+    # Counts at, just inside and just past the budget need the exact power;
+    # counts well below it are decided by bit length alone.
+    for t in range(1, 400):
+        budget = string_budget(base, t)
+        for cum in {1, budget // 8, budget // 2, budget - 1, budget, budget + 1} - {0}:
+            r = validate_counting_condition(_bare_spec((cum,), (t,), base=base))
+            assert r.ok == (cum <= budget), (t, cum)
+            assert r.first_violation == (None if r.ok else (t, cum, budget))
+
+
+def test_codespec_rejects_malformed_lengths():
+    with pytest.raises(ValidationError):
+        _bare_spec((2, 4), (1,))  # one length for two decoded atoms
+    with pytest.raises(ValidationError):
+        _bare_spec((2, 4), (2, 1))  # a heavier atom with a longer codeword
+
+
+def test_codespec_columns_and_view():
+    s = spectrum_of((0.3, 0.7), 6)
+    c = construct_code(s, 0.2)
+    assert not c.lengths.flags.writeable
+    assert np.all(np.diff(c.lengths) >= 0)
+    assert (c.n, c.base, c.decode_set_mass) == (s.n, s.base, c.selection.mass)
+    assert c.assignments is c.assignments
+    assert all(type(v) is int for a in c.assignments for v in (a.atom, a.count, a.length))
+    assert sum(a.count for a in c.assignments) == c.selection.num_sequences
+    assert [a.length for a in c.assignments] == c.lengths.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +237,11 @@ def test_code_overflow_steps_through_lengths():
     assert code_overflow(c, 4) == 0.0
 
 
-def test_code_overflow_counts_long_junk():
-    c = CodeSpec(n=1, base=2, decode_set_mass=0.7, error_mass=0.3,
-                 assignments=(Assignment(0, 1, 1),), junk_length=2,
-                 spectrum=spectrum_of((0.3, 0.7), 1))
-    assert code_overflow(c, 1) == pytest.approx(0.3, abs=1e-12)
-    assert code_overflow(c, 2) == 0.0
-
-
 def test_code_overflow_validation():
     c = construct_code(spectrum_of((0.3, 0.7), 2), 0.0)
     for eta in (0.5, math.nan, math.inf):
         with pytest.raises(ValidationError):
             code_overflow(c, eta)
-    bare = _bare_spec(c.assignments)
-    with pytest.raises(ValidationError):
-        code_overflow(bare, 2)
 
 
 @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.3, 0.5)])
@@ -227,6 +253,24 @@ def test_code_overflow_matches_enumeration(probs, n, eps):
     for eta in (1, 2, 4, 8):
         assert code_overflow(c, eta) == pytest.approx(
             orc.code_overflow(levels, 2, eps, eta), abs=1e-12)
+
+
+def _overflow_loop(c, eta):
+    """Reference: the per-assignment sum the one-searchsorted version replaced."""
+    long = [a for a in c.assignments if a.length > eta]
+    lps = c.spectrum.log_probs[[a.atom for a in long]].tolist()
+    over = [count_mass(a.count, lp) for a, lp in zip(long, lps)]
+    return math.fsum(over)
+
+
+@given(st.sampled_from(GRID), st.integers(1, 60), st.floats(0.0, 0.999),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_code_overflow_equals_loop(probs, n, eps, fractions):
+    c = construct_code(spectrum_of(probs, n), eps)
+    top = int(c.lengths[-1]) + 1
+    etas = [1 + f * top for f in fractions] + c.lengths.tolist()
+    for eta in etas:
+        assert code_overflow(c, eta) == _overflow_loop(c, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -541,17 +585,6 @@ def test_simulate_uniform_split_order():
     assert over == 0.5  # the decoded row wears a length-2 codeword
 
 
-def test_simulate_overflow_includes_long_junk():
-    d = make_distribution([0.5, 0.5])
-    c0 = construct_code(iid_spectrum(d, 2), 0.25)
-    c = CodeSpec(n=c0.n, base=c0.base, decode_set_mass=c0.decode_set_mass,
-                 error_mass=c0.error_mass, assignments=c0.assignments,
-                 junk_length=3, spectrum=c0.spectrum)
-    err, over = simulate_roundtrip(c, d, np.array([[0, 0]]), 2)
-    assert err == 1.0
-    assert over == 1.0
-
-
 def test_simulate_tracks_exact_masses():
     from overflowlab import sample_sequences
     d = make_distribution([0.3, 0.7])
@@ -588,8 +621,105 @@ def test_simulate_validation():
     with pytest.raises(ValidationError):
         # Samples scored under a different source do not match any atom.
         simulate_roundtrip(c, u, np.array([[0, 0]]), 2)
-    bare = _bare_spec(c.assignments)
-    with pytest.raises(ValidationError):
-        simulate_roundtrip(bare, d, np.array([[0, 1]]), 2)
     with pytest.raises(ValidationError):
         simulate_roundtrip(c, d, np.array([[0, 1]]), math.nan)
+
+
+def _simulate_loop(c, d, samples, eta):
+    """Reference: the per-assignment mask loop the column version replaced."""
+    s = c.spectrum
+    with np.errstate(divide="ignore"):
+        lnp = np.log(np.asarray(d.probs))
+    lp = lnp[samples].sum(axis=1)
+    descending = s.log_probs
+    idx = np.searchsorted(-descending, -lp, side="left")
+    idx = np.clip(idx, 0, len(descending) - 1)
+    alt = np.clip(idx - 1, 0, len(descending) - 1)
+    take_alt = np.abs(descending[alt] - lp) < np.abs(descending[idx] - lp)
+    idx = np.where(take_alt, alt, idx)
+
+    assigned = {a.atom: a.count for a in c.assignments}
+    full = np.zeros(len(s), dtype=bool)
+    none = np.ones(len(s), dtype=bool)
+    length_over = np.zeros(len(s), dtype=bool)
+    for a in c.assignments:
+        full[a.atom] = a.count >= s.counts[a.atom]
+        none[a.atom] = a.count == 0
+        length_over[a.atom] = a.length > eta
+
+    is_full = full[idx]
+    is_none = none[idx]
+    errors = int(np.count_nonzero(is_none))
+    overflows = int(np.count_nonzero(is_full & length_over[idx]))
+
+    split_rows = np.nonzero(~(is_full | is_none))[0]
+    group_cache = {}
+    for r in split_rows:
+        atom = int(idx[r])
+        groups = group_cache.get(atom)
+        if groups is None:
+            groups = codes_module._atom_type_groups(s, d, atom)
+            group_cache[atom] = groups
+        if codes_module._rank_within_atom(samples[r], groups) < assigned[atom]:
+            if length_over[atom]:
+                overflows += 1
+        else:
+            errors += 1
+    n_samples = len(samples)
+    return errors / n_samples, overflows / n_samples
+
+
+@given(st.sampled_from(GRID), st.integers(1, 7), st.floats(0.0, 0.999),
+       st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+def test_simulate_equals_loop(probs, n, eps, fraction, seed):
+    from overflowlab import sample_sequences
+    d = make_distribution(list(probs))
+    c = construct_code(iid_spectrum(d, n), eps)
+    samples = sample_sequences(d, n, 200, seed)
+    for eta in (1 + fraction * (int(c.lengths[-1]) + 1), *c.lengths.tolist()):
+        assert simulate_roundtrip(c, d, samples, eta) == _simulate_loop(c, d, samples, eta)
+
+
+def test_simulate_refuses_enumeration_past_ceiling(monkeypatch):
+    # A uniform source over 6 symbols is one atom, so its spectrum is cheap,
+    # but ranking a sample of the split atom would walk C(25, 5) = 53,130
+    # compositions of the uncollapsed support.
+    from overflowlab import CeilingExceeded, sample_sequences
+    monkeypatch.setattr(codes_module, "DEFAULT_TYPE_CEILING", 50_000)
+    d = make_distribution([1 / 6] * 6)
+    c = construct_code(iid_spectrum(d, 20), 0.5)
+    with pytest.raises(CeilingExceeded):
+        simulate_roundtrip(c, d, sample_sequences(d, 20, 4, seed=1), 60)
+
+
+def test_code_queries_build_no_assignments(monkeypatch):
+    built = []
+    init = Assignment.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Assignment, "__init__", counting_init)
+    c = construct_code(spectrum_of((0.11, 0.89), 20000), 0.05)
+    for eta in (c.lengths[0], c.lengths[len(c.lengths) // 2], c.lengths[-1]):
+        code_overflow(c, float(eta))
+    assert validate_counting_condition(c).ok
+    assert built == []
+    # The view is still there for outside readers, built on first read.
+    assert len(c.assignments) == len(c.lengths) == len(built)
+
+
+def test_package_reads_no_per_atom_views():
+    # Spectrum.atoms and CodeSpec.assignments are views for outside readers;
+    # every module of the package reads the columns instead.
+    import ast
+    import pathlib
+
+    import overflowlab
+    offenders = []
+    for path in sorted(pathlib.Path(overflowlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("atoms", "assignments"):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []
