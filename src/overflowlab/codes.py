@@ -62,11 +62,10 @@ class CodeSpec:
     error_mass: float
 
     def __post_init__(self) -> None:
-        sel = self.selection
         lengths = np.array(self.lengths, dtype=np.int64)
-        decoded = sel.full_atoms + (sel.boundary_taken > 0)
-        if lengths.shape != (decoded,) or np.any(np.diff(lengths) < 0):
-            raise ValidationError("lengths: need one per decoded atom, non-decreasing")
+        decoded = self.selection.full_atoms + (self.selection.boundary_taken > 0)
+        if decoded == 0 or lengths.shape != (decoded,) or np.any(np.diff(lengths) < 0):
+            raise ValidationError("lengths: need one per decoded atom (>= 1), non-decreasing")
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
 
@@ -152,8 +151,7 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
     strings of length <= t must not exceed sum_{i=1..t} K^i (exact integers).
     The junk string carries no decoding, so it consumes no budget.
     """
-    s, sel, lengths = c.spectrum, c.selection, c.lengths
-    b = sel.full_atoms
+    s, sel, lengths, b = c.spectrum, c.selection, c.lengths, c.selection.full_atoms
     if lengths[0] < 1:
         first_count = s.counts[0] if b else sel.boundary_taken
         return CountingReport(ok=False, first_violation=(int(lengths[0]), first_count, 0))
@@ -163,10 +161,7 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
     run_ends = [*np.flatnonzero(np.diff(lengths)).tolist(), len(lengths) - 1]
     for i, t in zip(run_ends, lengths[run_ends].tolist()):
         cum = s.cumulative_counts[i] if i < b else boundary_cum
-        # The budget is >= K^t, so a count one bit shorter than t log2 K fits
-        # without building it; the spare bit absorbs the float rounding.
-        if cum.bit_length() > t * math.log2(s.base) - 1 and cum > (
-                budget := string_budget(s.base, t)):
+        if cum > (budget := string_budget(s.base, t)):
             return CountingReport(ok=False, first_violation=(t, cum, budget))
     return CountingReport(ok=True, first_violation=None)
 
@@ -301,6 +296,15 @@ def optimal_threshold(s: Spectrum, eps: float, delta: float) -> int:
 # Round-trip simulation
 
 
+def _multiset_count(counts: list[int], span: int) -> int:
+    """Arrangements of a multiset with ``span`` remaining positions."""
+    out = math.factorial(span)
+    for c in counts:
+        if c > 1:
+            out //= math.factorial(c)
+    return out
+
+
 def _rank_within_type(seq: np.ndarray, counts: list[int]) -> int:
     """Lexicographic rank of ``seq`` among arrangements of its own multiset."""
     remaining = list(counts)
@@ -311,8 +315,7 @@ def _rank_within_type(seq: np.ndarray, counts: list[int]) -> int:
         for smaller in range(sym):
             if remaining[smaller] > 0:
                 remaining[smaller] -= 1
-                # Arrangements of the remaining multiset over ``span`` positions.
-                rank += math.factorial(span) // math.prod(map(math.factorial, remaining))
+                rank += _multiset_count(remaining, span)
                 remaining[smaller] += 1
         remaining[sym] -= 1
     return rank
@@ -328,16 +331,17 @@ def _atom_type_groups(s: Spectrum, d: Distribution,
     """
     probs = np.asarray(d.probs)
     support = [i for i in range(d.alphabet_size) if probs[i] > 0.0]
-    # Every composition over the uncollapsed support is enumerated.
-    _check_ceiling(s.n, len(support), DEFAULT_TYPE_CEILING)
+    # Enumerates every composition of the support: capped at the default ceiling.
+    _check_ceiling(s.n, len(support), DEFAULT_TYPE_CEILING, "compositions over {} support symbols")
     lnp = {i: math.log(probs[i]) for i in support}
     lps = s.log_probs
     groups = []
     for comp, count in _type_classes(s.n, [1] * len(support)):
         lp = math.fsum(k * lnp[sym] for k, sym in zip(comp, support) if k)
-        # In ``atom`` if within tolerance of it and nearest to it, tested in that order.
-        if (abs(lps[atom] - lp) > 1e-9 * max(1.0, abs(lp))
-                or int(np.argmin(np.abs(lps - lp))) != atom):
+        j = int(np.argmin(np.abs(lps - lp)))
+        if j != atom:
+            continue
+        if abs(lps[j] - lp) > 1e-9 * max(1.0, abs(lp)):
             continue
         sig = [0] * d.alphabet_size
         for k, sym in zip(comp, support):

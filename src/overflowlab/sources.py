@@ -259,12 +259,11 @@ def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...
     return walk((), n, 1)
 
 
-def _check_ceiling(n: int, groups: int, ceiling: int) -> None:
+def _check_ceiling(n: int, groups: int, ceiling: int,
+                   what: str = "type classes over {} probability levels") -> None:
     n_types = math.comb(n + groups - 1, groups - 1)
     if n_types > ceiling:
-        raise CeilingExceeded(
-            f"{n_types} type classes over {groups} probability levels exceeds ceiling {ceiling}"
-        )
+        raise CeilingExceeded(f"{n_types} {what.format(groups)} exceeds ceiling {ceiling}")
 
 
 def _finish_spectrum(n: int, base: int, raw: list[tuple[float, int]],
