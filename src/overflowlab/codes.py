@@ -157,10 +157,10 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
         return CountingReport(ok=False, first_violation=(int(lengths[0]), first_count, 0))
     # Lengths are non-decreasing, so each distinct length ends a run of atoms
     # and the decoded count up to it is a prefix count.
-    boundary_cum = (s.cumulative_counts[b - 1] if b else 0) + sel.boundary_taken
+    boundary_cum = (s.count_through(b - 1) if b else 0) + sel.boundary_taken
     run_ends = [*np.flatnonzero(np.diff(lengths)).tolist(), len(lengths) - 1]
     for i, t in zip(run_ends, lengths[run_ends].tolist()):
-        cum = s.cumulative_counts[i] if i < b else boundary_cum
+        cum = s.count_through(i) if i < b else boundary_cum
         if cum > (budget := string_budget(s.base, t)):
             return CountingReport(ok=False, first_violation=(t, cum, budget))
     return CountingReport(ok=True, first_violation=None)
@@ -217,15 +217,14 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     if m_budget >= s.total_count:
         return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=0.0, budget=m_budget)
     # Top-M split: first atom where the running count reaches the budget.
-    cum_counts = s.cumulative_counts
-    b = bisect.bisect_left(cum_counts, m_budget)
+    b = s.first_reaching(m_budget)
     # Error budget: junk the heaviest sequences that still fit, heaviest first;
     # what is neither decoded nor junked overflows.  Atom i has ``avail``
     # sequences neither decoded nor junked; ``over`` holds the overflow mass
     # of the atoms the walk has passed.
     left = eps
     over = []
-    i, avail = b, cum_counts[b] - m_budget
+    i, avail = b, s.count_through(b) - m_budget
     while True:
         lp = float(s.log_probs[i])
         if left > 0.0 and avail > 0:

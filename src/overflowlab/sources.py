@@ -6,16 +6,26 @@ granularity and stored as columns: one entry per distinct per-sequence
 probability (an atom), holding its log probability, an arbitrary precision
 integer count of sequences, and the atom's total probability mass.
 Derived columns are cached on first read: rates, compensated prefix and
-suffix masses, cumulative counts, and exact suffix sums of the masses as
-integers in units of 2**-1074, which ``Spectrum.mass_sum`` turns into a
-correctly rounded sum of any run of atoms.  A Spectrum's ``atoms`` property
-is a per-atom view of those columns for outside readers.
+suffix masses, and exact suffix sums of the masses as integers in units of
+2**-1074, which ``Spectrum.mass_sum`` turns into a correctly rounded sum of
+any run of atoms.  Exact cumulative counts are kept only at checkpoints, one
+every ``_STRIDE`` atoms, from one pass over the counts that also yields the
+total; ``Spectrum.count_through`` and ``Spectrum.first_reaching`` rebuild a
+block's running counts from its checkpoint on first touch.  A Spectrum's
+``atoms`` and ``cumulative_counts`` properties are full per-atom views for
+outside readers.
+
+Type counts come from a recurrence over the type vectors; where the last two
+probability levels hold equally many symbols, the counts of (k, r - k) and
+(r - k, k) are equal, so only half of them are computed and the other half
+reuses the same integers.
 All logarithms are kept in nats internally; rates are converted to base-K
 units (K = the code alphabet size carried by the source) at the API surface.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,6 +52,11 @@ MASS_TOL_LARGE = 1e-6
 # relative tolerance are merged into one atom.
 _MERGE_RTOL = 1e-12
 
+# Atoms per block of exact cumulative counts: a Spectrum stores the running
+# count at the end of each block and rebuilds a block's running counts from
+# the checkpoint before it on first touch.
+_STRIDE = 32
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -55,6 +70,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise ValidationError("probs: need a non-empty 1-d probability vector")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("probs: non-finite entry")
         if np.any(p < 0):
             raise ValidationError("probs: negative entry")
         if abs(float(p.sum()) - 1.0) > 1e-12:
@@ -207,11 +224,48 @@ class Spectrum:
 
     @cached_property
     def cumulative_counts(self) -> tuple[int, ...]:
+        """Exact count of atoms [0, i] for every i, built on first read."""
         return tuple(itertools.accumulate(self.counts))
+
+    @cached_property
+    def _checkpoints(self) -> tuple[int, ...]:
+        """Exact count of the atoms up to the end of each ``_STRIDE`` block;
+        the last entry is the total."""
+        blocks = (sum(self.counts[lo:lo + _STRIDE]) for lo in range(0, len(self), _STRIDE))
+        return tuple(itertools.accumulate(blocks))
+
+    @cached_property
+    def _blocks(self) -> dict[int, tuple[int, ...]]:
+        """Running counts of the blocks read so far, by block index."""
+        return {}
+
+    def _block(self, j: int) -> tuple[int, ...]:
+        """Exact count of atoms [0, i] for each atom i of block j."""
+        sums = self._blocks.get(j)
+        if sums is None:
+            lo = j * _STRIDE
+            start = self._checkpoints[j - 1] if j else 0
+            run = itertools.accumulate(self.counts[lo:lo + _STRIDE], initial=start)
+            sums = self._blocks[j] = tuple(run)[1:]
+        return sums
+
+    def count_through(self, i: int) -> int:
+        """Exact number of sequences in atoms [0, i], for 0 <= i < len(self)."""
+        if not 0 <= i < len(self.counts):
+            raise IndexError(f"atom index {i} outside [0, {len(self.counts)})")
+        j, r = divmod(i, _STRIDE)
+        return self._block(j)[r]
+
+    def first_reaching(self, total: int) -> int:
+        """Least i with count_through(i) >= total, or len(self) if there is none."""
+        j = bisect.bisect_left(self._checkpoints, total)
+        if j == len(self._checkpoints):
+            return len(self)
+        return j * _STRIDE + bisect.bisect_left(self._block(j), total)
 
     @property
     def total_count(self) -> int:
-        return self.cumulative_counts[-1]
+        return self._checkpoints[-1]
 
 
 def _collapse(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +289,9 @@ def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...
     prod(m_j ** k_j) is the exact number of sequences of that type when m_j
     symbols share level j.  Each count is its neighbour's times one ratio of
     small ints, so a type costs one big-integer multiply and one exact
-    divide.
+    divide.  When the last two levels hold equally many symbols, the split
+    (k, rem - k) has the count of (rem - k, k): only the first half is
+    computed and the second half yields the same int objects in reverse.
     """
     mults = [int(m) for m in mults]
     if len(mults) == 1:
@@ -250,11 +306,17 @@ def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...
                 yield from walk(prefix + (k,), rem - k, head)
                 head = head * ((rem - k) * m) // (k + 1)
             return
-        # The last two levels split rem as (k, rem - k).
+        # The last two levels split rem as (k, rem - k).  Symmetric levels
+        # compute k = 0 .. rem // 2 and mirror the rest.
+        last = rem // 2 if ma == mb else rem
         count = head * mb ** rem
-        for k in range(rem + 1):
-            yield prefix + (k, rem - k), count
+        counts = [count]
+        for k in range(last):
             count = count * ((rem - k) * ma) // ((k + 1) * mb)
+            counts.append(count)
+        counts += counts[:rem - last][::-1]
+        for k, count in enumerate(counts):
+            yield prefix + (k, rem - k), count
 
     return walk((), n, 1)
 
@@ -266,22 +328,38 @@ def _check_ceiling(n: int, groups: int, ceiling: int,
         raise CeilingExceeded(f"{n_types} {what.format(groups)} exceeds ceiling {ceiling}")
 
 
-def _finish_spectrum(n: int, base: int, raw: list[tuple[float, int]],
-                     mass_tol: float) -> Spectrum:
-    """Sort candidates by log probability, merge near-equal levels, validate mass."""
-    raw.sort(key=lambda t: t[0], reverse=True)
-    lps: list[float] = []
-    counts: list[int] = []
-    for lp, count in raw:
-        if lps and abs(lps[-1] - lp) <= _MERGE_RTOL * max(1.0, abs(lp)):
-            counts[-1] += count
-        else:
-            lps.append(lp)
-            counts.append(count)
-    built = Spectrum(n=n, base=base, log_probs=lps, counts=counts)
-    total = math.fsum(built.masses.tolist())
-    if abs(total - 1.0) > mass_tol:
-        raise NumericError(f"spectrum mass {total!r} deviates from 1 beyond {mass_tol}")
+def _finish_spectrum(n: int, base: int, lps: np.ndarray, counts: Sequence[int],
+                     mass_tol: float, total: int) -> Spectrum:
+    """Sort candidates by log probability, merge near-equal levels, validate
+    the mass and the exact sequence count against ``total``."""
+    order = np.argsort(-lps, kind="stable")
+    lps = lps[order]
+    counts = [counts[i] for i in order.tolist()]
+    # A candidate joins the group before it when it lies within the merge
+    # tolerance of the group's first log probability.  One that is not
+    # within it of its neighbour is not within it of the larger first entry
+    # either, so only candidates close to their neighbour are compared again.
+    joins = np.zeros(len(lps), dtype=bool)
+    joins[1:] = np.abs(lps[:-1] - lps[1:]) <= _MERGE_RTOL * np.maximum(1.0, np.abs(lps[1:]))
+    lead = np.maximum.accumulate(np.where(joins, 0, np.arange(len(lps)))).tolist()
+    values = lps.tolist()
+    restart = 0
+    for i in np.flatnonzero(joins).tolist():
+        first = max(lead[i], restart)
+        if abs(values[first] - values[i]) > _MERGE_RTOL * max(1.0, abs(values[i])):
+            joins[i] = False
+            restart = i
+    keep = ~joins
+    group = (np.cumsum(keep) - 1).tolist()
+    merged = list(itertools.compress(counts, keep.tolist()))
+    for i in np.flatnonzero(joins).tolist():
+        merged[group[i]] += counts[i]
+    built = Spectrum(n=n, base=base, log_probs=lps[keep], counts=merged)
+    mass = math.fsum(built.masses.tolist())
+    if abs(mass - 1.0) > mass_tol:
+        raise NumericError(f"spectrum mass {mass!r} deviates from 1 beyond {mass_tol}")
+    if built.total_count != total:
+        raise NumericError("type counts do not add up to the number of reachable sequences")
     return built
 
 
@@ -303,19 +381,16 @@ def iid_spectrum(d: Distribution, n: int, *,
     g = len(values)
     _check_ceiling(n, g, type_ceiling)
     logq = np.log(values)
-    types = _type_classes(n, mults)
+    types, counts = zip(*_type_classes(n, mults))
     if g == 2:
-        l0, l1 = float(logq[0]), float(logq[1])
-        raw = [(k0 * l0 + k1 * l1, count) for (k0, k1), count in types]
+        ks = np.array(types)
+        lps = ks[:, 0] * float(logq[0]) + ks[:, 1] * float(logq[1])
     else:
-        raw = [(float(np.dot(ks, logq)), count) for ks, count in types]
-    for lp, _ in raw:
-        if not math.isfinite(lp):
-            raise NumericError("log probability overflowed")
-    built = _finish_spectrum(n, d.base, raw, _mass_tol(n, d.alphabet_size))
-    if built.total_count != d.support_size ** n:
-        raise NumericError("type counts do not add up to |support|^n")
-    return built
+        lps = np.array([float(np.dot(ks, logq)) for ks in types])
+    if not np.all(np.isfinite(lps)):
+        raise NumericError("log probability overflowed")
+    return _finish_spectrum(n, d.base, lps, counts, _mass_tol(n, d.alphabet_size),
+                            d.support_size ** n)
 
 
 def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
@@ -353,7 +428,8 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
     mults = [v[1] for v in vals]
     lw1 = math.log(w1)
     lw2 = math.log1p(-w1)
-    raw: list[tuple[float, int]] = []
+    lps: list[float] = []
+    counts: list[int] = []
     for ks, count in _type_classes(n, mults):
         # Component log probs; a zero-probability symbol with k > 0 kills the component.
         t1 = 0.0
@@ -367,8 +443,13 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
             continue  # unreachable under both components
         if not math.isfinite(lp):
             raise NumericError("log probability overflowed")
-        raw.append((lp, count))
-    return _finish_spectrum(n, d1.base, raw, _mass_tol(n, d1.alphabet_size))
+        lps.append(lp)
+        counts.append(count)
+    # Sequences reachable under either component: |S1|^n + |S2|^n - |S1 & S2|^n.
+    both = int(np.count_nonzero((p1 > 0.0) & (p2 > 0.0)))
+    total = d1.support_size ** n + d2.support_size ** n - both ** n
+    return _finish_spectrum(n, d1.base, np.array(lps), counts,
+                            _mass_tol(n, d1.alphabet_size), total)
 
 
 def ceil_log2_parity(n: int) -> int:

@@ -61,7 +61,7 @@ class PrefixSelection:
 
 def _count_before(s: Spectrum, i: int) -> int:
     """Exact number of sequences in atoms [0, i)."""
-    return s.cumulative_counts[i - 1] if i else 0
+    return s.count_through(i - 1) if i else 0
 
 
 def _reach(masses: np.ndarray, start: int, goal: float) -> tuple[int, float]:

@@ -1,6 +1,8 @@
 """Command line behavior: config parsing, output schemas, exit codes, and
 byte-level determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import overflowlab.cli as cli
 from overflowlab import (
@@ -479,6 +482,15 @@ def test_non_finite_budget_or_threshold_exits_2(argv, bern03, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_probability_exits_2(write_config, tmp_path, capsys):
+    # A NaN entry used to survive make_distribution and fail later as a
+    # numeric error (exit 3) in a mixture build.
+    path = write_config("model = mixture\nprobs = nan, 0.5\nprobs2 = 0.5, 0.5\nw1 = 0.5\n")
+    assert main(["spectrum", "--source", path, "--n", "3",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: probs: non-finite entry\n"
+
+
 def test_numeric_error_exits_3(bern03, tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise NumericError("spectrum mass 0.5 deviates from 1")
@@ -526,3 +538,110 @@ def test_repeat_runs_are_byte_identical(bern03, tmp_path):
         assert main(["spectrum", "--source", bern03, "--n", "12", "--out", out]) == 0
         pairs.append(open(out, "rb").read())
     assert pairs[0] == pairs[1]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+# ---------------------------------------------------------------------------
+
+# Values are mostly valid and small, sometimes malformed: blocklengths up to
+# 12, thresholds up to 64 and at most four symbols keep every case cheap,
+# while NaN, inf, signs, empty lists and text probe the validation.
+# True one time in sixteen; hypothesis favours the ends of a range, so the
+# rare case sits in the middle.
+_RARELY = st.integers(0, 15).map(lambda i: i == 9)
+
+
+def _mostly(valid, bad):
+    """``valid`` fifteen times in sixteen, else ``bad``."""
+    return _RARELY.flatmap(lambda rare: bad if rare else valid)
+
+
+_BAD = st.sampled_from(["nan", "inf", "-inf", "-0.1", "1", "x", ""])
+_BUDGET = _mostly(st.floats(0.0, 0.45).map(repr), _BAD)
+_ETA = _mostly(st.floats(1.0, 64.0).map(repr), st.sampled_from(["0.5", "nan", "inf", "x"]))
+
+
+def _grid(values):
+    return st.lists(values, max_size=4).map(",".join)
+
+
+_VALUES = {
+    "--n": _mostly(st.integers(1, 12).map(str), st.sampled_from(["0", "-1", "x"])),
+    "--eps": _BUDGET,
+    "--delta": _BUDGET,
+    "--eta": _ETA,
+    "--eta-grid": _grid(_ETA),
+    "--n-grid": _grid(_mostly(st.integers(1, 16).map(str), st.sampled_from(["0", "x"]))),
+    "--gamma": _mostly(st.floats(0.0, 0.5).map(repr), _BAD),
+    "--rate": _mostly(st.one_of(st.floats(0.0, 2.0).map(repr), st.just("H")),
+                      st.sampled_from(["nan", "x"])),
+    "--samples": _mostly(st.integers(1, 40).map(str), st.sampled_from(["0", "-1", "x"])),
+    "--seed": _mostly(st.integers(0, 5).map(str), st.just("x")),
+    "--format": _mostly(st.sampled_from(["csv", "json"]), st.just("xml")),
+}
+_COMMANDS = {
+    "spectrum": ["--n"],
+    "tradeoff": ["--n", "--eps", "--eta-grid"],
+    "threshold": ["--n", "--eps", "--delta"],
+    "bounds": ["--n", "--eps", "--eta-grid", "--gamma"],
+    "converge": ["--eps", "--delta", "--n-grid"],
+    "optimistic": ["--eps", "--delta", "--n-grid"],
+    "asymptotics": ["--eps", "--delta", "--rate"],
+    "simulate": ["--n", "--eps", "--eta", "--samples", "--seed"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    # Mostly the command's own options, now and then a missing or foreign one.
+    for name in _COMMANDS[command] + ["--format"]:
+        if not draw(_RARELY):
+            argv += [name, draw(_VALUES[name])]
+    if draw(_RARELY):
+        name = draw(st.sampled_from(sorted(_VALUES)))
+        argv += [name, draw(_VALUES[name])]
+    return argv
+
+
+@st.composite
+def _probs(draw):
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 0.5, 0.0, 1.5, 3.0]),
+                            min_size=1, max_size=4))
+    if sum(weights) == 0.0 or draw(_RARELY):
+        return ", ".join(draw(st.sampled_from(["0.5", "nan", "-0.2", "x", ""]))
+                         for _ in weights)
+    return ", ".join(repr(w / sum(weights)) for w in weights)
+
+
+@st.composite
+def _config_text(draw):
+    model = draw(_mostly(st.sampled_from(["iid", "mixture", "switching"]), st.just("other")))
+    lines = [f"model = {model}", f"probs = {draw(_probs())}"]
+    if model in ("mixture", "switching") or draw(_RARELY):
+        lines.append(f"probs2 = {draw(_probs())}")
+    if model == "mixture" or draw(_RARELY):
+        lines.append(f"w1 = {draw(_mostly(st.floats(0.0, 1.0).map(repr), _BAD))}")
+    if draw(st.booleans()):
+        lines.append(f"K = {draw(_mostly(st.sampled_from(['2', '3', '4']), st.sampled_from(['1', '0', 'x'])))}")
+    if draw(_RARELY):
+        lines.append(draw(st.sampled_from(["junk = 1", "no assignment", "probs = 0.5, 0.5"])))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv(), _config_text())
+def test_cli_fuzz_exits_with_a_named_code(tmp_path_factory, argv, text):
+    source = tmp_path_factory.mktemp("fuzz") / "source.s"
+    source.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--source", str(source)])
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -703,8 +703,9 @@ def test_code_queries_build_no_assignments(monkeypatch):
 
 
 def test_package_reads_no_per_atom_views():
-    # Spectrum.atoms and CodeSpec.assignments are views for outside readers;
-    # every module of the package reads the columns instead.
+    # Spectrum.atoms, Spectrum.cumulative_counts and CodeSpec.assignments are
+    # views for outside readers; every module of the package reads the
+    # columns and the checkpointed count accessors instead.
     import ast
     import pathlib
 
@@ -712,6 +713,7 @@ def test_package_reads_no_per_atom_views():
     offenders = []
     for path in sorted(pathlib.Path(overflowlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("atoms", "assignments"):
+            if isinstance(node, ast.Attribute) and node.attr in ("atoms", "assignments",
+                                                                 "cumulative_counts"):
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert offenders == []

@@ -1,5 +1,7 @@
 """Source models and spectra against explicit sequence enumeration."""
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,12 +19,21 @@ from overflowlab import (
     SwitchingSchedule,
     ValidationError,
     ceil_log2_parity,
+    construct_code,
+    finite_n_first_order,
     iid_spectrum,
     make_distribution,
     mixed_spectrum,
+    optimal_threshold,
+    optimal_tradeoff,
+    restricted_tail_inf,
     sample_sequences,
+    smooth_max_entropy,
     switching_spectrum,
+    tail_mass,
+    validate_counting_condition,
 )
+from overflowlab import sources
 from overflowlab._util import neumaier_cumsum
 
 
@@ -56,7 +67,8 @@ def test_make_distribution_clamps_dust():
     assert d.support_size == 1
 
 
-@pytest.mark.parametrize("bad", [[], [0.5, 0.6], [0.5, -0.1, 0.6], [0.0, 0.0]])
+@pytest.mark.parametrize("bad", [[], [0.5, 0.6], [0.5, -0.1, 0.6], [0.0, 0.0],
+                                 [math.nan, 0.5], [0.5, math.nan, 0.5]])
 def test_make_distribution_rejects(bad):
     with pytest.raises(ValidationError):
         make_distribution(bad)
@@ -306,6 +318,200 @@ def test_mixture_rejects_mismatched_components():
     with pytest.raises(ValidationError):
         mixed_spectrum(make_distribution([0.5, 0.5], base=2),
                        make_distribution([0.5, 0.5], base=3), 0.5, 3)
+
+
+@pytest.mark.parametrize("p1, p2", [
+    ([0.5, 0.5, 0.0], [0.0, 0.4, 0.6]),          # a zero entry in each component
+    ([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7]),  # disjoint supports
+    ([0.2, 0.8, 0.0], [0.6, 0.0, 0.4]),
+    ([0.1, 0.2, 0.7], [0.7, 0.2, 0.1]),
+])
+def test_mixture_total_count_is_reachable_sequences(p1, p2):
+    s1 = sum(a > 0 for a in p1)
+    s2 = sum(b > 0 for b in p2)
+    both = sum(a > 0 and b > 0 for a, b in zip(p1, p2))
+    for n in (1, 2, 5, 9):
+        s = mixed_spectrum(make_distribution(p1), make_distribution(p2), 0.3, n)
+        assert s.total_count == s1 ** n + s2 ** n - both ** n
+        assert s.total_count == sum(c for _, c in orc.mixture_levels(p1, p2, 0.3, n))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: iid_spectrum(make_distribution([0.3, 0.7]), 80),
+    lambda: mixed_spectrum(make_distribution([0.3, 0.7, 0.0]),
+                           make_distribution([0.0, 0.4, 0.6]), 0.5, 80),
+], ids=["iid", "mixture-with-zero-entries"])
+def test_build_checks_the_exact_total_count(build, monkeypatch):
+    # One sequence too many in the first type class (all n symbols on the
+    # last level, reachable here) moves the mass by under 1e-12, far inside
+    # the mass tolerance: only the exact total count can catch it.
+    real = sources._type_classes
+
+    def one_too_many(n, mults):
+        types = list(real(n, mults))
+        types[0] = (types[0][0], types[0][1] + 1)
+        return iter(types)
+
+    monkeypatch.setattr(sources, "_type_classes", one_too_many)
+    with pytest.raises(NumericError, match="type counts"):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# Type enumeration and merging
+
+
+def _reference_types(n, mults):
+    """Every composition of n over len(mults) levels in lexicographic order,
+    sized n! / prod(k!) * prod(m ** k) with math.factorial."""
+    def compositions(rem, parts):
+        if parts == 1:
+            yield (rem,)
+            return
+        for k in range(rem + 1):
+            for tail in compositions(rem - k, parts - 1):
+                yield (k,) + tail
+    out = []
+    for ks in compositions(n, len(mults)):
+        count = math.factorial(n)
+        for k, m in zip(ks, mults):
+            count = count // math.factorial(k) * m ** k
+        out.append((ks, count))
+    return out
+
+
+@given(st.integers(1, 4), st.integers(1, 40), st.data())
+def test_type_classes_equal_multinomial_reference(g, n, data):
+    # Equal last multiplicities take the mirrored path, unequal ones the
+    # plain recurrence; walks with g >= 3 reach the last two levels with
+    # rem = 0 and rem = 1, and g = 2 at n = 1 starts there with rem = 1.
+    mults = data.draw(st.lists(st.integers(1, 4), min_size=g, max_size=g))
+    if g >= 2 and data.draw(st.booleans()):
+        mults[-1] = mults[-2]
+    assert list(sources._type_classes(n, mults)) == _reference_types(n, mults)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type_classes_mirror_small_remainders(n):
+    for mults in ([1, 1], [2, 2], [1, 1, 1], [3, 2, 2], [1, 1, 1, 1]):
+        assert list(sources._type_classes(n, mults)) == _reference_types(n, mults)
+
+
+def test_mirrored_counts_share_objects():
+    counts = [c for _, c in sources._type_classes(400, [1, 1])]
+    assert all(counts[k] is counts[400 - k] for k in range(201))
+
+
+def _merge_loop(lps, counts):
+    """Reference: stable sort by descending log probability, then merge each
+    candidate into the previous group when it lies within the merge
+    tolerance of that group's first log probability."""
+    raw = sorted(zip(lps, counts), key=lambda t: t[0], reverse=True)
+    out_lps, out_counts = [], []
+    for lp, count in raw:
+        if out_lps and abs(out_lps[-1] - lp) <= 1e-12 * max(1.0, abs(lp)):
+            out_counts[-1] += count
+        else:
+            out_lps.append(lp)
+            out_counts.append(count)
+    return out_lps, out_counts
+
+
+# Log probabilities in clusters whose members sit 0.3, 0.6 or 1.1 merge
+# tolerances apart, so chains drift past a group's first entry while every
+# neighbour stays close; clusters in (-1, 0) test the absolute tolerance,
+# and exact repeats test the sort's stability.
+_cluster = st.tuples(st.one_of(st.floats(-60.0, -8.0), st.floats(-1.0, -0.7)),
+                     st.sampled_from([0.0, 0.3, 0.6, 1.1, 1e6]), st.integers(1, 6))
+
+
+@given(st.lists(_cluster, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_finish_spectrum_merges_like_the_loop(clusters, rng):
+    lps = []
+    for centre, step, size in clusters:
+        tol = 1e-12 * max(1.0, abs(centre))
+        lps += [centre - j * step * tol for j in range(size)]
+    # At most two candidates above -2, so no merged atom outweighs 1.
+    lps = [x for x in lps if x < -2.0] + [x for x in lps if x >= -2.0][:2]
+    rng.shuffle(lps)
+    counts = [rng.randrange(1, 2 ** 70) if x < -55.0 else 1 for x in lps]
+    want_lps, want_counts = _merge_loop(lps, counts)
+    got = sources._finish_spectrum(5, 2, np.array(lps), counts, math.inf, sum(counts))
+    assert got.log_probs.tolist() == want_lps
+    assert list(got.counts) == want_counts
+
+
+@given(st.floats(0.01, 0.99), st.integers(1, 300))
+def test_binary_log_probs_equal_scalar_expression(p, n):
+    d = make_distribution([p, 1.0 - p])
+    values = sorted({float(x) for x in d.probs})
+    if len(values) < 2:
+        return
+    l0, l1 = math.log(values[0]), math.log(values[1])
+    want = sorted((k * l0 + (n - k) * l1 for k in range(n + 1)), reverse=True)
+    assert iid_spectrum(d, n).log_probs.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# Checkpointed cumulative counts
+
+
+def _accessor_spectra():
+    x, y = 1.4, 2.3
+    merging = [r / (1 + x + y + x * y) for r in (1.0, x, y, x * y)]
+    return [
+        iid_spectrum(make_distribution([0.3, 0.7]), 3),
+        iid_spectrum(make_distribution([0.3, 0.7]), 150),
+        iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 20),
+        iid_spectrum(make_distribution([0.2, 0.2, 0.2, 0.4]), 90),
+        iid_spectrum(make_distribution(merging), 30),
+        mixed_spectrum(make_distribution([0.3, 0.7]), make_distribution([0.7, 0.3]), 0.5, 101),
+        mixed_spectrum(make_distribution([0.2, 0.3, 0.5]),
+                       make_distribution([0.5, 0.0, 0.5]), 0.4, 15),
+    ]
+
+
+def test_count_accessors_equal_accumulate_and_bisect():
+    for s in _accessor_spectra():
+        cum = list(itertools.accumulate(s.counts))
+        assert s.total_count == cum[-1]
+        # Touch blocks back to front, so no block is built from a neighbour.
+        for i in reversed(range(len(s))):
+            assert s.count_through(i) == cum[i]
+        totals = {0, 1, cum[-1], cum[-1] + 1, *cum, *(c - 1 for c in cum), *(c + 1 for c in cum)}
+        for total in sorted(totals):
+            assert s.first_reaching(total) == bisect.bisect_left(cum, total)
+        with pytest.raises(IndexError):
+            s.count_through(len(s))
+        with pytest.raises(IndexError):
+            s.count_through(-1)
+
+
+def test_count_accessors_at_block_edges():
+    s = iid_spectrum(make_distribution([0.3, 0.7]), 2000)
+    cum = list(itertools.accumulate(s.counts))
+    stride = sources._STRIDE
+    edges = sorted({i for j in range(0, len(s) + stride, stride)
+                    for i in (j - 1, j, j + 1) if 0 <= i < len(s)})
+    for i in edges:
+        assert s.count_through(i) == cum[i]
+    for total in [1, cum[-1], *(cum[i] + d for i in edges for d in (-1, 0, 1))]:
+        assert s.first_reaching(total) == bisect.bisect_left(cum, total)
+    assert s.cumulative_counts == tuple(cum)
+
+
+def test_queries_never_build_the_cumulative_column():
+    s = iid_spectrum(make_distribution([0.11, 0.89]), 20000)
+    h = float(np.dot(s.masses, s.rates))
+    optimal_tradeoff(s, 20000 * h, 0.05)
+    optimal_threshold(s, 0.05, 0.1)
+    c = construct_code(s, 0.05)
+    assert validate_counting_condition(c).ok
+    tail_mass(s, h)
+    smooth_max_entropy(s, 0.1)
+    restricted_tail_inf(s, 0.05, h)
+    finite_n_first_order(s, 0.05, 0.1)
+    assert "cumulative_counts" not in vars(s)
 
 
 # ---------------------------------------------------------------------------
