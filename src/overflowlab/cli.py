@@ -344,7 +344,7 @@ def _cmd_asymptotics(args) -> int:
             if args.rate == "H":
                 rate = h
             else:
-                rate = float(args.rate)
+                rate = args.rate
                 gap = abs(rate - h)
                 if 1e-12 < gap < 1e-9:
                     raise ValidationError(
@@ -397,6 +397,16 @@ def _float_grid(text: str) -> list[float]:
         return [float(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse '{text}' as numbers")
+
+
+def _rate(text: str) -> float | str:
+    """A number, or the literal H for the entropy."""
+    if text == "H":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse '{text}' as a number or H")
 
 
 def _add_common(sub, *, n=False, eps=False, delta=False, eta_grid=False,
@@ -454,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("asymptotics", help="entropy, varentropy and expansion constants")
     _add_common(p, eps=True, default_format="json")
     p.add_argument("--delta", type=float, default=None, help="overflow budget in [0, 1)")
-    p.add_argument("--rate", default=None,
+    p.add_argument("--rate", type=_rate, default=None,
                    help="rate for the second order threshold; the literal H "
                         "evaluates at the entropy")
     p.set_defaults(func=_cmd_asymptotics)

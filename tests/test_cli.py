@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import overflowlab.cli as cli
 from overflowlab import (
@@ -633,6 +633,8 @@ def _config_text(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_argv(), _config_text())
+# Found by this test: an unparsable --rate was a ValueError traceback.
+@example(["asymptotics", "--eps", "0.1", "--delta", "0.1", "--rate", "x"], "probs = 1.0\n")
 def test_cli_fuzz_exits_with_a_named_code(tmp_path_factory, argv, text):
     source = tmp_path_factory.mktemp("fuzz") / "source.s"
     source.write_text(text, encoding="utf-8")
