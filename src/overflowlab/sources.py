@@ -381,12 +381,20 @@ def iid_spectrum(d: Distribution, n: int, *,
     g = len(values)
     _check_ceiling(n, g, type_ceiling)
     logq = np.log(values)
-    types, counts = zip(*_type_classes(n, mults))
+    # Each type vector is dropped as soon as it is read: keeping one tuple per
+    # type alive would run the cyclic garbage collector over them many times
+    # per build.
+    types = _type_classes(n, mults)
     if g == 2:
-        ks = np.array(types)
-        lps = ks[:, 0] * float(logq[0]) + ks[:, 1] * float(logq[1])
+        counts = [count for _, count in types]
+        k0 = np.arange(n + 1)  # types (0, n), (1, n - 1), ... in lexicographic order
+        lps = k0 * float(logq[0]) + (n - k0) * float(logq[1])
     else:
-        lps = np.array([float(np.dot(ks, logq)) for ks in types])
+        lps, counts = [], []
+        for ks, count in types:
+            lps.append(float(np.dot(ks, logq)))
+            counts.append(count)
+        lps = np.array(lps)
     if not np.all(np.isfinite(lps)):
         raise NumericError("log probability overflowed")
     return _finish_spectrum(n, d.base, lps, counts, _mass_tol(n, d.alphabet_size),
