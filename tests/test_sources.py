@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import _oracle as orc
 from overflowlab import (
@@ -380,21 +380,18 @@ def _reference_types(n, mults):
     return out
 
 
-@given(st.integers(1, 4), st.integers(1, 40), st.data())
-def test_type_classes_equal_multinomial_reference(g, n, data):
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.booleans(), st.integers(1, 40))
+@example([1, 1, 1], True, 1)   # the last two levels see rem = 0 and rem = 1
+@example([3, 2, 2], True, 2)
+@example([1, 1, 1, 1], True, 3)
+@example([2, 1], False, 1)
+def test_type_classes_equal_multinomial_reference(mults, mirror, n):
     # Equal last multiplicities take the mirrored path, unequal ones the
-    # plain recurrence; walks with g >= 3 reach the last two levels with
-    # rem = 0 and rem = 1, and g = 2 at n = 1 starts there with rem = 1.
-    mults = data.draw(st.lists(st.integers(1, 4), min_size=g, max_size=g))
-    if g >= 2 and data.draw(st.booleans()):
+    # plain recurrence; walks over three or more levels reach the last two
+    # with rem = 0 and rem = 1.
+    if mirror and len(mults) >= 2:
         mults[-1] = mults[-2]
     assert list(sources._type_classes(n, mults)) == _reference_types(n, mults)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_type_classes_mirror_small_remainders(n):
-    for mults in ([1, 1], [2, 2], [1, 1, 1], [3, 2, 2], [1, 1, 1, 1]):
-        assert list(sources._type_classes(n, mults)) == _reference_types(n, mults)
 
 
 def test_mirrored_counts_share_objects():
