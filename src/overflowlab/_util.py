@@ -1,10 +1,12 @@
-"""Small numeric helpers: range checks, compensated and exact summation, doubling
-searches and guarded integer splits."""
+"""Small numeric helpers: range checks, guarded integer splits, doubling searches,
+and exact summation, with running totals of ints kept at block edges."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -121,35 +123,59 @@ def exact_units(x: float) -> int:
     return num << (UNIT_BITS + 1 - den.bit_length())
 
 
-def neumaier_cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sums of ``values`` with Neumaier compensation.
+def unit_terms(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Finite doubles as int64 mantissas and shifts, in one vector pass:
+    ``values[i]`` is exactly ``mantissas[i] << shifts[i]`` units of
+    2**-UNIT_BITS, the same integer ``exact_units`` gives."""
+    fracs, exps = np.frexp(values)
+    shifts = exps.astype(np.int64) + (UNIT_BITS - 53)
+    # A subnormal's shift comes out negative; its low mantissa bits are zero.
+    low = np.minimum(shifts, 0)
+    return np.ldexp(fracs, 53 + low).astype(np.int64), shifts - low
 
-    Returns an array ``out`` with ``out[i] = sum(values[:i+1])`` accumulated
-    with a carried correction term, so long spectra do not drift at the
-    1e-12 scale the tests care about.
+
+class RunningTotals:
+    """Exact running totals of a sequence of ints, kept at the end of every
+    ``BLOCK``-item block; a block's running totals are rebuilt on first touch.
+
+    ``terms(lo, hi)`` yields items lo .. hi - 1 (hi may pass the end).  It must
+    not refer to the object holding this instance: that cycle would keep the
+    holder alive until the cyclic garbage collector runs.
     """
-    out = []
-    total = 0.0
-    comp = 0.0
-    # Python floats, not numpy scalars: the same IEEE operations, done faster.
-    for v in np.asarray(values, dtype=float).tolist():
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out.append(total + comp)
-    return np.array(out, dtype=float)
 
+    BLOCK = 32
 
-def suffix_sums(values: np.ndarray) -> np.ndarray:
-    """Compensated suffix sums; ``out[i] = sum(values[i:])``, ``out[-1] = 0``.
+    def __init__(self, terms: Callable[[int, int], Iterable[int]], size: int) -> None:
+        self._terms = terms
+        self._size = size
+        sums = (sum(terms(lo, lo + self.BLOCK)) for lo in range(0, size, self.BLOCK))
+        # _edges[j] is the total of items [0, j * BLOCK); the last one is the total.
+        self._edges = tuple(itertools.accumulate(sums, initial=0))
+        self._blocks: dict[int, tuple[int, ...]] = {}
+        self.total = self._edges[-1]
 
-    The returned array has one extra slot so ``out[len(values)]`` is a valid
-    (empty-suffix) query.
-    """
-    rev = neumaier_cumsum(values[::-1])
-    out = np.zeros(len(values) + 1, dtype=float)
-    out[:-1] = rev[::-1]
-    return out
+    def __iter__(self) -> Iterator[int]:
+        """The total of items [0, i) for i = 0 .. size, in one pass."""
+        return itertools.accumulate(self._terms(0, self._size), initial=0)
+
+    def _block(self, j: int) -> tuple[int, ...]:
+        run = self._blocks.get(j)
+        if run is None:
+            lo = j * self.BLOCK
+            run = itertools.accumulate(self._terms(lo, lo + self.BLOCK), initial=self._edges[j])
+            run = self._blocks[j] = tuple(run)[1:]
+        return run
+
+    def through(self, i: int) -> int:
+        """Exact total of items [0, i], for 0 <= i < size."""
+        if not 0 <= i < self._size:
+            raise IndexError(f"index {i} outside [0, {self._size})")
+        j, r = divmod(i, self.BLOCK)
+        return self._block(j)[r]
+
+    def first_reaching(self, total: int) -> int:
+        """Least i with through(i) >= total (items >= 0), or size if none is."""
+        j = bisect.bisect_left(self._edges, total, 1) - 1
+        if j == len(self._edges) - 1:
+            return self._size
+        return j * self.BLOCK + bisect.bisect_left(self._block(j), total)

@@ -5,15 +5,14 @@ A spectrum here is the distribution of the normalized self-information
 granularity and stored as columns: one entry per distinct per-sequence
 probability (an atom), holding its log probability, an arbitrary precision
 integer count of sequences, and the atom's total probability mass.
-Derived columns are cached on first read: rates, compensated prefix and
-suffix masses, and exact suffix sums of the masses as integers in units of
-2**-1074, which ``Spectrum.mass_sum`` turns into a correctly rounded sum of
-any run of atoms.  Exact cumulative counts are kept only at checkpoints, one
-every ``_STRIDE`` atoms, from one pass over the counts that also yields the
-total; ``Spectrum.count_through`` and ``Spectrum.first_reaching`` rebuild a
-block's running counts from its checkpoint on first touch.  A Spectrum's
-``atoms`` and ``cumulative_counts`` properties are full per-atom views for
-outside readers.
+Running sums take one exact path, built on first read: a ``RunningTotals``
+over the counts and one over the masses as integers in units of 2**-1074
+(``Spectrum.mass_units``), each keeping the total at every block edge.
+``Spectrum.count_through``, ``Spectrum.first_reaching`` and
+``Spectrum.total_count`` read the first; ``Spectrum.mass_sum``, a correctly
+rounded sum of any run of atoms, reads the second.  A Spectrum's ``atoms``,
+``cumulative_counts``, ``prefix_mass`` and ``suffix_mass`` properties are
+full per-atom views for outside readers.
 
 Type counts come from a recurrence over the type vectors; where the last two
 probability levels hold equally many symbols, the counts of (k, r - k) and
@@ -25,17 +24,17 @@ units (K = the code alphabet size carried by the source) at the API surface.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import (ABOVE_ZERO, UNIT_BITS, check_range, exact_units, neumaier_cumsum,
-                    suffix_sums)
+from ._util import (ABOVE_ZERO, UNIT_BITS, RunningTotals, check_range, exact_units,
+                    unit_terms)
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -51,12 +50,6 @@ MASS_TOL_LARGE = 1e-6
 # Adjacent candidate atoms whose per-sequence log probabilities agree to this
 # relative tolerance are merged into one atom.
 _MERGE_RTOL = 1e-12
-
-# Atoms per block of exact cumulative counts: a Spectrum stores the running
-# count at the end of each block and rebuilds a block's running counts from
-# the checkpoint before it on first touch.
-_STRIDE = 32
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -75,7 +68,7 @@ class Distribution:
         if np.any(p < 0):
             raise ValidationError("probs: negative entry")
         if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValidationError(f"probs: sum {p.sum()!r} is not 1 (normalize first)")
+            raise ValidationError(f"probs: sum {float(p.sum())!r} is not 1 (normalize first)")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -99,7 +92,7 @@ def make_distribution(probs: Sequence[float], base: int = 2) -> Distribution:
     if p.ndim != 1 or len(p) == 0:
         raise ValidationError("probs: need a non-empty 1-d probability vector")
     if np.any(p < -1e-12):
-        raise ValidationError(f"probs: negative entry {p.min()!r}")
+        raise ValidationError(f"probs: negative entry {float(p.min())!r}")
     p = np.clip(p, 0.0, None)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
@@ -186,28 +179,11 @@ class Spectrum:
         return r
 
     @cached_property
-    def prefix_mass(self) -> np.ndarray:
-        """Compensated cumulative mass; prefix_mass[i] = mass of atoms [0..i]."""
-        p = neumaier_cumsum(self.masses)
-        p.flags.writeable = False
-        return p
-
-    @cached_property
-    def suffix_mass(self) -> np.ndarray:
-        """Compensated suffix mass; suffix_mass[i] = mass of atoms [i..); one extra 0 slot."""
-        s = suffix_sums(self.masses)
-        s.flags.writeable = False
-        return s
-
-    @cached_property
-    def suffix_units(self) -> tuple[int, ...]:
-        """Exact suffix sums of the masses, in units of 2**-1074.
-
-        suffix_units[i] is the exact sum of masses[i:] as an integer, with
-        one extra 0 slot, like ``suffix_mass``.
-        """
-        units = map(exact_units, reversed(self.masses.tolist()))
-        return tuple(itertools.accumulate(units, initial=0))[::-1]
+    def mass_units(self) -> RunningTotals:
+        """Exact running totals of ``masses`` in units of 2**-UNIT_BITS."""
+        mantissas, shifts = unit_terms(self.masses)  # the terms must not read self
+        return RunningTotals(lambda lo, hi: map(operator.lshift, mantissas[lo:hi].tolist(),
+                                                shifts[lo:hi].tolist()), len(self))
 
     def mass_sum(self, start: int, stop: int | None = None,
                  extra: Sequence[float] = ()) -> float:
@@ -217,10 +193,28 @@ class Spectrum:
         number of units and int / int division rounds correctly, so the result
         equals ``math.fsum([*extra, *masses[start:stop]])`` bit for bit.
         """
-        col = self.suffix_units
-        total = col[start] - col[len(self) if stop is None else stop]
-        total += sum(map(exact_units, extra))
+        stop = len(self) if stop is None else stop
+        total = sum(map(exact_units, extra))
+        if start < stop:
+            units = self.mass_units
+            total += units.through(stop - 1) - (units.through(start - 1) if start else 0)
         return total / (1 << UNIT_BITS)
+
+    @cached_property
+    def prefix_mass(self) -> np.ndarray:
+        """Correctly rounded mass of atoms [0, i] for every i, built on first read."""
+        p = np.array([t / (1 << UNIT_BITS) for t in self.mass_units][1:])
+        p.flags.writeable = False
+        return p
+
+    @cached_property
+    def suffix_mass(self) -> np.ndarray:
+        """Correctly rounded mass of atoms [i, len) for every i, with one extra 0
+        slot, built on first read."""
+        total = self.mass_units.total
+        s = np.array([(total - t) / (1 << UNIT_BITS) for t in self.mass_units])
+        s.flags.writeable = False
+        return s
 
     @cached_property
     def cumulative_counts(self) -> tuple[int, ...]:
@@ -228,44 +222,21 @@ class Spectrum:
         return tuple(itertools.accumulate(self.counts))
 
     @cached_property
-    def _checkpoints(self) -> tuple[int, ...]:
-        """Exact count of the atoms up to the end of each ``_STRIDE`` block;
-        the last entry is the total."""
-        blocks = (sum(self.counts[lo:lo + _STRIDE]) for lo in range(0, len(self), _STRIDE))
-        return tuple(itertools.accumulate(blocks))
-
-    @cached_property
-    def _blocks(self) -> dict[int, tuple[int, ...]]:
-        """Running counts of the blocks read so far, by block index."""
-        return {}
-
-    def _block(self, j: int) -> tuple[int, ...]:
-        """Exact count of atoms [0, i] for each atom i of block j."""
-        sums = self._blocks.get(j)
-        if sums is None:
-            lo = j * _STRIDE
-            start = self._checkpoints[j - 1] if j else 0
-            run = itertools.accumulate(self.counts[lo:lo + _STRIDE], initial=start)
-            sums = self._blocks[j] = tuple(run)[1:]
-        return sums
+    def _count_totals(self) -> RunningTotals:
+        counts = self.counts  # the terms must not read self
+        return RunningTotals(lambda lo, hi: counts[lo:hi], len(counts))
 
     def count_through(self, i: int) -> int:
         """Exact number of sequences in atoms [0, i], for 0 <= i < len(self)."""
-        if not 0 <= i < len(self.counts):
-            raise IndexError(f"atom index {i} outside [0, {len(self.counts)})")
-        j, r = divmod(i, _STRIDE)
-        return self._block(j)[r]
+        return self._count_totals.through(i)
 
     def first_reaching(self, total: int) -> int:
         """Least i with count_through(i) >= total, or len(self) if there is none."""
-        j = bisect.bisect_left(self._checkpoints, total)
-        if j == len(self._checkpoints):
-            return len(self)
-        return j * _STRIDE + bisect.bisect_left(self._block(j), total)
+        return self._count_totals.first_reaching(total)
 
     @property
     def total_count(self) -> int:
-        return self._checkpoints[-1]
+        return self._count_totals.total
 
 
 def _collapse(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,5 +476,6 @@ def sample_sequences(d: Distribution, n: int, count: int, seed: int) -> np.ndarr
     """Draw ``count`` i.i.d. length-n symbol sequences; shape (count, n), dtype int."""
     check_range("n", n, 1, math.inf)
     check_range("count", count, 1, math.inf)
+    check_range("seed", seed, 0, math.inf)
     rng = np.random.default_rng(seed)
     return rng.choice(d.alphabet_size, size=(count, n), p=np.asarray(d.probs))

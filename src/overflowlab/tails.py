@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_budgets, check_range, count_mass, doubling_runs, split_count
+from ._util import check_budgets, check_range, count_mass, doubling_runs, exact_units, split_count
 from .errors import ValidationError
 from .sources import Spectrum
 
@@ -41,8 +41,7 @@ def tail_mass(s: Spectrum, rate: float, cmp: Comparator = Comparator.STRICT) -> 
     ``rate`` is in base-K units per symbol.  The default comparator is
     strict, matching the upper-tail convention of the first-order threshold.
     """
-    start = _tail_start(s, rate, cmp)
-    return float(s.suffix_mass[start])
+    return s.mass_sum(_tail_start(s, rate, cmp))
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def restricted_tail_inf(s: Spectrum, eps: float, rate: float,
     """
     check_range("eps", eps, 0, 1)
     start = _tail_start(s, rate, cmp)
-    tail = float(s.suffix_mass[start])
+    tail = s.mass_sum(start)
     free = 1.0 - tail
     if tail <= eps:
         return RestrictedTailResult(value=0.0, set_mass=free, boundary_split=None)
@@ -197,11 +196,12 @@ def finite_n_first_order(s: Spectrum, eps: float, delta: float) -> float:
     This is the finite-n analogue of the first-order threshold: the
     (eps + delta)-upper-quantile of the spectrum, reported on the atom-rate
     grid in base-K units per symbol.  It depends on (eps, delta) only
-    through their sum, exactly.
+    through their sum, exactly: the exact tail is compared with the double eps + delta.
     """
     check_budgets(eps, delta)
-    beyond = s.suffix_mass[1:]  # beyond[j] = mass of atoms strictly after j
-    j = int(np.argmax(beyond <= eps + delta))  # first index satisfying the budget
+    # The mass after atom j is total - through(j); the last atom always qualifies.
+    units = s.mass_units
+    j = units.first_reaching(units.total - exact_units(eps + delta))
     return float(s.rates[j])
 
 

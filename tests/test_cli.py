@@ -491,6 +491,28 @@ def test_nan_probability_exits_2(write_config, tmp_path, capsys):
     assert capsys.readouterr().err == "error: probs: non-finite entry\n"
 
 
+def test_negative_seed_exits_2(bern03, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["simulate", "--source", bern03, "--n", "6", "--eps", "0.1", "--eta", "6",
+                 "--samples", "10", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed: must lie in [0, inf), got -1\n"
+    assert not out.exists()
+
+
+def test_out_in_missing_directory_exits_2(bern03, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["spectrum", "--source", bern03, "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: out: cannot write '{out}': No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_out_onto_a_directory_exits_2_and_removes_the_temp_file(bern03, tmp_path):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["spectrum", "--source", bern03, "--n", "3", "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["source.s", "taken"]
+
+
 def test_numeric_error_exits_3(bern03, tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise NumericError("spectrum mass 0.5 deviates from 1")

@@ -703,9 +703,10 @@ def test_code_queries_build_no_assignments(monkeypatch):
 
 
 def test_package_reads_no_per_atom_views():
-    # Spectrum.atoms, Spectrum.cumulative_counts and CodeSpec.assignments are
-    # views for outside readers; every module of the package reads the
-    # columns and the checkpointed count accessors instead.
+    # Spectrum.atoms, Spectrum.cumulative_counts, Spectrum.prefix_mass,
+    # Spectrum.suffix_mass and CodeSpec.assignments are views for outside
+    # readers; every module of the package reads the columns and the exact
+    # running totals instead.
     import ast
     import pathlib
 
@@ -714,6 +715,8 @@ def test_package_reads_no_per_atom_views():
     for path in sorted(pathlib.Path(overflowlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in ("atoms", "assignments",
-                                                                 "cumulative_counts"):
+                                                                 "cumulative_counts",
+                                                                 "prefix_mass",
+                                                                 "suffix_mass"):
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert offenders == []

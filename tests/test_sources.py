@@ -34,7 +34,7 @@ from overflowlab import (
     validate_counting_condition,
 )
 from overflowlab import sources
-from overflowlab._util import neumaier_cumsum
+from overflowlab._util import RunningTotals, unit_terms, exact_units
 
 
 GRID = orc.grid_distributions()
@@ -67,11 +67,24 @@ def test_make_distribution_clamps_dust():
     assert d.support_size == 1
 
 
-@pytest.mark.parametrize("bad", [[], [0.5, 0.6], [0.5, -0.1, 0.6], [0.0, 0.0],
-                                 [math.nan, 0.5], [0.5, math.nan, 0.5]])
-def test_make_distribution_rejects(bad):
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("bad, message", [
+    ([], "probs: need a non-empty 1-d probability vector"),
+    ([0.5, 0.6], "probs: entries sum to 1.1, off by more than 1e-9"),
+    ([0.5, -0.1, 0.6], "probs: negative entry -0.1"),
+    ([0.0, 0.0], "probs: entries sum to 0.0, off by more than 1e-9"),
+    ([math.nan, 0.5], "probs: non-finite entry"),
+    ([0.5, math.nan, 0.5], "probs: non-finite entry"),
+], ids=[f"bad{i}" for i in range(6)])
+def test_make_distribution_rejects(bad, message):
+    with pytest.raises(ValidationError) as info:
         make_distribution(bad)
+    assert str(info.value) == message
+
+
+def test_distribution_rejects_unnormalized_probs():
+    with pytest.raises(ValidationError) as info:
+        Distribution(np.array([0.5, 0.6]), 2)
+    assert str(info.value) == "probs: sum 1.1 is not 1 (normalize first)"
 
 
 def test_make_distribution_rejects_bad_base():
@@ -186,8 +199,14 @@ def test_atoms_view_reads_the_columns_once():
 
 def test_prefix_and_suffix_masses_are_complementary():
     s = iid_spectrum(make_distribution([0.1, 0.4, 0.5]), 6)
-    for i in range(len(s.atoms)):
+    masses = s.masses.tolist()
+    assert len(s.prefix_mass) == len(s) and len(s.suffix_mass) == len(s) + 1
+    for i in range(len(s)):
         assert abs(float(s.prefix_mass[i]) + float(s.suffix_mass[i + 1]) - 1.0) <= 1e-12
+        # The views are correctly rounded.
+        assert s.prefix_mass[i] == math.fsum(masses[:i + 1])
+        assert s.suffix_mass[i] == math.fsum(masses[i:])
+    assert s.suffix_mass[len(s)] == 0.0
 
 
 # Masses 1.0, of mixed magnitude, subnormal (exp(-740), exp(-744)) and
@@ -225,39 +244,33 @@ def test_mass_sum_equals_fsum_on_spectra(probs, n, data):
     assert s.mass_sum(start, stop, extra) == math.fsum([*extra, *s.masses[start:stop].tolist()])
 
 
-def test_suffix_units_are_exact():
-    for s in (_SPECIAL, iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 7)):
-        masses = [Fraction(m) for m in s.masses.tolist()]
-        assert len(s.suffix_units) == len(s) + 1
-        for i, units in enumerate(s.suffix_units):
-            assert Fraction(units, 2 ** 1074) == sum(masses[i:], Fraction(0))
+def _block_edges(size):
+    """Every index within one of a RunningTotals block edge."""
+    block = RunningTotals.BLOCK
+    return sorted({i for j in range(0, size + block, block)
+                   for i in (j - 1, j, j + 1) if 0 <= i < size})
 
 
-def _neumaier_scalar_loop(values):
-    """Reference: the compensated running sum over numpy scalars."""
-    out = np.empty(len(values), dtype=float)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+def test_unit_terms_equal_exact_units():
+    values = np.array([*_SPECIAL.masses.tolist(), 5e-324, 2.2250738585072014e-308,
+                       1.5e-310, 0.1, 0.3, 1.7976931348623157e308])
+    mantissas, shifts = unit_terms(values)
+    assert mantissas.dtype == shifts.dtype == np.int64
+    assert [m << s for m, s in zip(mantissas.tolist(), shifts.tolist())] == \
+        [exact_units(v) for v in values.tolist()]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_neumaier_cumsum_equals_scalar_loop(seed):
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(0, 3000))
-    values = rng.random(size) * 10.0 ** rng.integers(-300, 3, size)
-    values[rng.random(size) < 0.1] *= -1.0
-    got = neumaier_cumsum(values)
-    assert got.dtype == np.float64 and got.shape == (size,)
-    assert got.tobytes() == _neumaier_scalar_loop(values).tobytes()
+def test_mass_units_are_exact_at_block_edges():
+    for s in (_SPECIAL, iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 7),
+              iid_spectrum(make_distribution([0.3, 0.7]), 300)):
+        cum = list(itertools.accumulate(Fraction(m) for m in s.masses.tolist()))
+        units = s.mass_units
+        assert Fraction(units.total, 2 ** 1074) == cum[-1]
+        for i in _block_edges(len(s)):
+            assert Fraction(units.through(i), 2 ** 1074) == cum[i]
+            assert s.mass_sum(i) == float(cum[-1] - (cum[i - 1] if i else 0))
+        with pytest.raises(IndexError):
+            units.through(len(s))
 
 
 @given(st.sampled_from(GRID), st.integers(min_value=1, max_value=6))
@@ -487,14 +500,32 @@ def test_count_accessors_equal_accumulate_and_bisect():
 def test_count_accessors_at_block_edges():
     s = iid_spectrum(make_distribution([0.3, 0.7]), 2000)
     cum = list(itertools.accumulate(s.counts))
-    stride = sources._STRIDE
-    edges = sorted({i for j in range(0, len(s) + stride, stride)
-                    for i in (j - 1, j, j + 1) if 0 <= i < len(s)})
+    edges = _block_edges(len(s))
     for i in edges:
         assert s.count_through(i) == cum[i]
     for total in [1, cum[-1], *(cum[i] + d for i in edges for d in (-1, 0, 1))]:
         assert s.first_reaching(total) == bisect.bisect_left(cum, total)
     assert s.cumulative_counts == tuple(cum)
+
+
+def test_spectrum_is_freed_without_the_cycle_collector():
+    # The running totals' terms must not refer back to the spectrum: a cycle
+    # would keep every queried spectrum alive until the collector ran.
+    import gc
+    import weakref
+    s = iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 40)
+    tail_mass(s, 1.0)
+    finite_n_first_order(s, 0.1, 0.1)
+    s.count_through(len(s) - 1)
+    ref = weakref.ref(s)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del s
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_queries_never_build_the_cumulative_column():

@@ -1,7 +1,9 @@
 """Tail functionals: raw tails, greedy prefixes, smooth max entropy,
 constrained tail minimization, and the finite-n quantile thresholds."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,6 +12,7 @@ import _oracle as orc
 from overflowlab import (
     Comparator,
     PrefixSelection,
+    Spectrum,
     ValidationError,
     finite_n_first_order,
     finite_n_second_order,
@@ -85,6 +88,22 @@ def test_tail_mass_monotone_and_comparator_ordered(probs, n, rate):
     loose = tail_mass(s, rate, Comparator.NON_STRICT)
     assert 0.0 <= strict <= loose <= 1.0 + 1e-12
     assert tail_mass(s, rate + 0.25, Comparator.STRICT) <= strict + 1e-15
+
+
+@given(st.sampled_from(GRID), st.integers(1, 40), st.floats(0.0, 2.0), st.floats(0.0, 0.999),
+       st.sampled_from(list(Comparator)))
+def test_tails_equal_fsum_of_admitted_atoms(probs, n, rate, eps, cmp):
+    s = spectrum_of(probs, n)
+    admitted = [m for r, m in zip(s.rates.tolist(), s.masses.tolist())
+                if (r > rate if cmp is Comparator.STRICT else r >= rate)]
+    tail = math.fsum(admitted)
+    assert tail_mass(s, rate, cmp) == tail
+    # Every sequence off the tail is kept (mass 1 - tail); the value is the
+    # tail mass added on top, and 0 when the tail fits in eps.
+    res = restricted_tail_inf(s, eps, rate, cmp)
+    assert res.set_mass == (1.0 - tail) + res.value
+    if tail <= eps:
+        assert res.value == 0.0
 
 
 @pytest.mark.parametrize("query", [
@@ -399,6 +418,45 @@ def test_first_order_matches_enumeration(probs, n, eps, delta):
     got = finite_n_first_order(spectrum_of(probs, n), eps, delta)
     want = orc.finite_first_order(orc.seq_levels(probs, n), n, 2, eps + delta)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def _first_order_loop(s, budget):
+    """Reference: the rate of the first atom whose exact mass after it is at
+    most ``budget``, summed in Fractions."""
+    after = [Fraction(0)]
+    for m in reversed(s.masses.tolist()[1:]):
+        after.append(after[-1] + Fraction(m))
+    after.reverse()  # after[j] = exact mass of atoms j + 1 on
+    return float(s.rates[next(j for j, a in enumerate(after) if a <= Fraction(budget))])
+
+
+@given(st.sampled_from(GRID), st.integers(1, 30), st.floats(0.0, 0.499), st.floats(0.0, 0.499))
+def test_first_order_equals_fraction_loop(probs, n, eps, delta):
+    s = spectrum_of(probs, n)
+    assert finite_n_first_order(s, eps, delta) == _first_order_loop(s, eps + delta)
+
+
+# Masses 1/2, 1/4, 1/16, 1/32, 1/512 (exp(log 2**-k) is exact for these k),
+# so every running sum of them is a double.
+_DYADIC = Spectrum(n=1, base=2, log_probs=[math.log(2.0 ** -k) for k in (1, 2, 4, 5, 9)],
+                   counts=(1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("s", [_DYADIC, spectrum_of((0.3, 0.7), 120),
+                               spectrum_of((0.2, 0.3, 0.5), 12)],
+                         ids=["dyadic", "binary-120", "ternary-12"])
+def test_first_order_at_budgets_on_running_sums(s):
+    # Budgets at every exact tail, rounded, and one ulp either side: a tail
+    # that rounds down to the budget must still count as over it.
+    budgets = set()
+    for tail in itertools.accumulate(map(Fraction, reversed(s.masses.tolist()))):
+        x = float(tail)
+        budgets |= {x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)}
+    budgets.add(0.0)
+    for budget in sorted(b for b in budgets if b < 1.0):
+        want = _first_order_loop(s, budget)
+        assert finite_n_first_order(s, budget, 0.0) == want
+        assert finite_n_first_order(s, 0.0, budget) == want
 
 
 @given(st.sampled_from(GRID), st.integers(1, 5))
