@@ -15,6 +15,7 @@ those; ``CodeSpec.assignments`` is a per-atom view for outside readers.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,8 +25,7 @@ import numpy as np
 
 from ._util import SPLIT_GUARD, check_budgets, check_range, count_mass, doubling_runs, split_count
 from .errors import ValidationError
-from .sources import (DEFAULT_TYPE_CEILING, Distribution, Spectrum, _check_ceiling,
-                      _type_classes)
+from .sources import Distribution, Spectrum, level_types
 from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
                     top_probability_prefix)
 
@@ -295,70 +295,70 @@ def optimal_threshold(s: Spectrum, eps: float, delta: float) -> int:
 # Round-trip simulation
 
 
-def _multiset_count(counts: list[int], span: int) -> int:
-    """Arrangements of a multiset with ``span`` remaining positions."""
-    out = math.factorial(span)
-    for c in counts:
-        if c > 1:
-            out //= math.factorial(c)
-    return out
+def _nearest_atoms(s: Spectrum, lp: np.ndarray) -> np.ndarray:
+    """Index of the atom nearest each log probability; one that is farther than
+    1e-9 (relative) from every atom, or -inf, matches none and is refused."""
+    descending = s.log_probs  # atoms are sorted by descending log prob
+    idx = np.searchsorted(-descending, -lp, side="left")
+    idx = np.clip(idx, 0, len(descending) - 1)
+    alt = np.clip(idx - 1, 0, len(descending) - 1)
+    take_alt = np.abs(descending[alt] - lp) < np.abs(descending[idx] - lp)
+    idx = np.where(take_alt, alt, idx)
+    if np.any(np.isinf(lp) | (np.abs(descending[idx] - lp) > 1e-9 * np.maximum(1.0, np.abs(lp)))):
+        raise ValidationError("samples: a sequence does not match any spectrum atom")
+    return idx
 
 
-def _rank_within_type(seq: np.ndarray, counts: list[int]) -> int:
-    """Lexicographic rank of ``seq`` among arrangements of its own multiset."""
-    remaining = list(counts)
-    total = len(seq)
-    rank = 0
-    for pos, sym in enumerate(seq):
-        span = total - pos - 1
-        for smaller in range(sym):
-            if remaining[smaller] > 0:
-                remaining[smaller] -= 1
-                rank += _multiset_count(remaining, span)
-                remaining[smaller] += 1
-        remaining[sym] -= 1
-    return rank
+def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows: np.ndarray) -> list[int]:
+    """Rank of each row inside ``atom``: signature-major, then arrangement order.
 
-
-def _atom_type_groups(s: Spectrum, d: Distribution,
-                      atom: int) -> list[tuple[tuple[int, ...], int]]:
-    """Type signatures whose sequences land in ``atom``, lexicographically sorted.
-
-    An atom can gather several type classes (symbols with equal probability,
-    or distinct types whose products coincide), so the within-atom order has
-    to span all of them.  Returned counts are exact.
+    A signature is a row's vector of symbol counts.  The atom is a union of
+    level types T (per-level totals over the collapsed equal-probability
+    levels); its sequences with a smaller signature than the row's, sig, are
+    counted per T, walking symbols in alphabet order.  With sig fixed on the
+    symbols before j and v < sig[j] on symbol j, level L has r_L of its total
+    left for its m_L free symbols, and by the multinomial theorem those
+    sequences number n! / (prod fixed k! * v! * prod r_L!) * prod m_L ** r_L.
     """
-    probs = np.asarray(d.probs)
-    support = [i for i in range(d.alphabet_size) if probs[i] > 0.0]
-    # Enumerates every composition of the support: capped at the default ceiling.
-    _check_ceiling(s.n, len(support), DEFAULT_TYPE_CEILING, "compositions over {} support symbols")
-    lnp = {i: math.log(probs[i]) for i in support}
-    lps = s.log_probs
-    groups = []
-    for comp, count in _type_classes(s.n, [1] * len(support)):
-        lp = math.fsum(k * lnp[sym] for k, sym in zip(comp, support) if k)
-        j = int(np.argmin(np.abs(lps - lp)))
-        if j != atom:
-            continue
-        if abs(lps[j] - lp) > 1e-9 * max(1.0, abs(lp)):
-            continue
-        sig = [0] * d.alphabet_size
-        for k, sym in zip(comp, support):
-            sig[sym] = k
-        groups.append((tuple(sig), count))
-    groups.sort(key=lambda g: g[0])
-    return groups
-
-
-def _rank_within_atom(row: np.ndarray, groups: list[tuple[tuple[int, ...], int]]) -> int:
-    """Rank of a sequence inside its atom: signature-major, then arrangement order."""
-    sig = tuple(int(v) for v in np.bincount(row, minlength=len(groups[0][0])))
-    base = 0
-    for g_sig, g_count in groups:
-        if g_sig == sig:
-            return base + _rank_within_type(row, list(sig))
-        base += g_count
-    raise ValidationError("sample signature not found in its matched atom")
+    values, mults, types = level_types(d, s.n)
+    kinds = np.fromiter(itertools.chain.from_iterable(ks for ks, _ in types),
+                        dtype=np.int64).reshape(-1, len(values))
+    in_atom = kinds[_nearest_atoms(s, kinds @ np.log(values)) == atom].tolist()
+    level = np.where(d.probs > 0.0, np.searchsorted(values, d.probs), -1).tolist()
+    fact = list(itertools.accumulate(range(1, s.n + 1), operator.mul, initial=1))
+    ranks = []
+    for row in rows.tolist():
+        sig = np.bincount(row, minlength=d.alphabet_size).tolist()
+        rank, fixed, free, denom, live = 0, [0] * len(mults), mults.tolist(), 1, in_atom
+        for j, top in enumerate(sig):
+            lj = level[j]
+            if lj < 0:
+                continue  # a zero-probability symbol, absent from the row
+            free[lj] -= 1
+            for t in live:
+                # The sum over v factors into the other levels' completions
+                # times sum_v C(r, v) * m ** (r - v) on symbol j's level.
+                rest = list(map(operator.sub, t, fixed))
+                r, rest[lj], m = rest[lj], 0, free[lj]
+                others = (fact[s.n] * math.prod(map(pow, free, rest))
+                          // (denom * fact[r] * math.prod(fact[x] for x in rest)))
+                rank += others * sum(math.comb(r, v) * m ** (r - v)
+                                     for v in range(min(top, r + 1)))
+            fixed[lj] += top
+            denom *= fact[top]
+            # A level type the fixed symbols overran, or whose level has no
+            # free symbol left for its remainder, counts nothing further.
+            live = [t for t in live if t[lj] >= fixed[lj] and (free[lj] or t[lj] == fixed[lj])]
+        # Lexicographic rank among the arrangements of sig: at each position,
+        # the arrangements left that start with a smaller symbol.
+        arrangements, left = fact[s.n] // denom, s.n
+        for sym in row:
+            rank += arrangements * sum(sig[:sym]) // left
+            arrangements = arrangements * sig[sym] // left
+            sig[sym] -= 1
+            left -= 1
+        ranks.append(rank)
+    return ranks
 
 
 def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
@@ -376,19 +376,12 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
         raise ValidationError(f"samples: expected shape (count, {c.n})")
     if len(samples) == 0:
         raise ValidationError("samples: need at least one row")
+    if samples.dtype.kind not in "iu" or samples.min() < 0 or samples.max() >= d.alphabet_size:
+        raise ValidationError(f"samples: need integer symbols in [0, {d.alphabet_size})")
     s, sel = c.spectrum, c.selection
     with np.errstate(divide="ignore"):
         lnp = np.log(np.asarray(d.probs))
-    lp = lnp[samples].sum(axis=1)
-    # Atoms are sorted by descending log prob; match each sample to the nearest.
-    descending = s.log_probs
-    idx = np.searchsorted(-descending, -lp, side="left")
-    idx = np.clip(idx, 0, len(descending) - 1)
-    alt = np.clip(idx - 1, 0, len(descending) - 1)
-    take_alt = np.abs(descending[alt] - lp) < np.abs(descending[idx] - lp)
-    idx = np.where(take_alt, alt, idx)
-    if np.any(np.abs(descending[idx] - lp) > 1e-9 * np.maximum(1.0, np.abs(lp))):
-        raise ValidationError("samples: a sequence does not match any spectrum atom")
+    idx = _nearest_atoms(s, lnp[samples].sum(axis=1))
 
     # Atoms [0, b) are decoded whole; atom b, when decoded, is split unless
     # its slice is the whole atom (a one-sequence atom).
@@ -401,9 +394,8 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
 
     split_rows = np.flatnonzero(~(is_full | is_none))
     if len(split_rows):
-        groups = _atom_type_groups(s, d, b)
-        kept = sum(_rank_within_atom(samples[r], groups) < sel.boundary_taken
-                   for r in split_rows)
+        ranks = _atom_ranks(s, d, b, samples[split_rows])
+        kept = sum(rank < sel.boundary_taken for rank in ranks)
         errors += len(split_rows) - kept
         overflows += kept * int(c.lengths[b] > eta)
     return errors / len(samples), overflows / len(samples)

@@ -239,19 +239,6 @@ class Spectrum:
         return self._count_totals.total
 
 
-def _collapse(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal-probability symbols; returns (distinct values, multiplicities).
-
-    Zero-probability symbols are dropped entirely: no sequence over the
-    support ever touches them, so they contribute no types.
-    """
-    positive = probs[probs > 0.0]
-    if len(positive) == 0:
-        raise ValidationError("probs: no positive entries")
-    values, mults = np.unique(positive, return_counts=True)
-    return values, mults
-
-
 def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every type of n symbols over len(mults) probability levels, with its size.
 
@@ -292,11 +279,28 @@ def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...
     return walk((), n, 1)
 
 
-def _check_ceiling(n: int, groups: int, ceiling: int,
-                   what: str = "type classes over {} probability levels") -> None:
+def _check_ceiling(n: int, groups: int, ceiling: int) -> None:
     n_types = math.comb(n + groups - 1, groups - 1)
     if n_types > ceiling:
-        raise CeilingExceeded(f"{n_types} {what.format(groups)} exceeds ceiling {ceiling}")
+        raise CeilingExceeded(f"{n_types} type classes over {groups} probability levels "
+                              f"exceeds ceiling {ceiling}")
+
+
+def level_types(d: Distribution, n: int, *, type_ceiling: int = DEFAULT_TYPE_CEILING
+                ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[tuple[int, ...], int]]]:
+    """The level types of n draws from ``d``, the one type enumeration.
+
+    Returns the distinct positive probabilities of ``d`` (ascending), the
+    number of symbols sharing each, and an iterator over every type of n
+    symbols over those levels with its exact number of sequences, in
+    lexicographic order.  Zero-probability symbols are dropped: no reachable
+    sequence touches them.  Refuses more than ``type_ceiling`` types before
+    enumerating any.
+    """
+    check_range("n", n, 1, math.inf)
+    values, mults = np.unique(d.probs[d.probs > 0.0], return_counts=True)
+    _check_ceiling(n, len(values), type_ceiling)
+    return values, mults, _type_classes(n, mults)
 
 
 def _finish_spectrum(n: int, base: int, lps: np.ndarray, counts: Sequence[int],
@@ -347,16 +351,12 @@ def iid_spectrum(d: Distribution, n: int, *,
     permutation-equal types exactly merged), computes each type's sequence
     count as an exact integer, and its mass as exp(log(count) + log P).
     """
-    check_range("n", n, 1, math.inf)
-    values, mults = _collapse(d.probs)
-    g = len(values)
-    _check_ceiling(n, g, type_ceiling)
+    values, _, types = level_types(d, n, type_ceiling=type_ceiling)
     logq = np.log(values)
     # Each type vector is dropped as soon as it is read: keeping one tuple per
     # type alive would run the cyclic garbage collector over them many times
     # per build.
-    types = _type_classes(n, mults)
-    if g == 2:
+    if len(values) == 2:
         counts = [count for _, count in types]
         k0 = np.arange(n + 1)  # types (0, n), (1, n - 1), ... in lexicographic order
         lps = k0 * float(logq[0]) + (n - k0) * float(logq[1])
@@ -370,6 +370,14 @@ def iid_spectrum(d: Distribution, n: int, *,
         raise NumericError("log probability overflowed")
     return _finish_spectrum(n, d.base, lps, counts, _mass_tol(n, d.alphabet_size),
                             d.support_size ** n)
+
+
+def _check_components(d1: Distribution, d2: Distribution) -> None:
+    """Two source components must share the alphabet size and the code base."""
+    if d1.alphabet_size != d2.alphabet_size:
+        raise ValidationError("probs2: component alphabets differ in size")
+    if d1.base != d2.base:
+        raise ValidationError("base: components carry different code bases")
 
 
 def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
@@ -387,10 +395,7 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
     n      : block length
     """
     check_range("w1", w1, ABOVE_ZERO, 1, "(0, 1)")
-    if d1.alphabet_size != d2.alphabet_size:
-        raise ValidationError("probs2: component alphabets differ in size")
-    if d1.base != d2.base:
-        raise ValidationError("base: components carry different code bases")
+    _check_components(d1, d2)
     check_range("n", n, 1, math.inf)
     p1 = np.asarray(d1.probs)
     p2 = np.asarray(d2.probs)
@@ -452,11 +457,7 @@ class SwitchingSchedule:
     rule: Callable[[int], int] = field(default=ceil_log2_parity)
 
     def __post_init__(self) -> None:
-        a, b = self.components
-        if a.alphabet_size != b.alphabet_size:
-            raise ValidationError("probs2: component alphabets differ in size")
-        if a.base != b.base:
-            raise ValidationError("base: components carry different code bases")
+        _check_components(*self.components)
 
     def active_component(self, n: int) -> int:
         idx = self.rule(n)

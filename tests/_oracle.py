@@ -307,3 +307,67 @@ def code_overflow(levels, base, eps, eta):
     if 1 > eta:
         over += err
     return over
+
+
+def _multiset_count(counts, span):
+    """Arrangements of a multiset with ``span`` remaining positions."""
+    out = math.factorial(span)
+    for c in counts:
+        if c > 1:
+            out //= math.factorial(c)
+    return out
+
+
+def _rank_within_type(seq, counts):
+    """Lexicographic rank of ``seq`` among arrangements of its own multiset."""
+    remaining = list(counts)
+    total = len(seq)
+    rank = 0
+    for pos, sym in enumerate(seq):
+        span = total - pos - 1
+        for smaller in range(sym):
+            if remaining[smaller] > 0:
+                remaining[smaller] -= 1
+                rank += _multiset_count(remaining, span)
+                remaining[smaller] += 1
+        remaining[sym] -= 1
+    return rank
+
+
+def atom_type_groups(log_probs, probs, n, atom):
+    """Type signatures whose sequences land in ``atom``, lexicographically sorted.
+
+    Walks every composition of n over the uncollapsed support, sums its log
+    probability with fsum and matches it to the nearest atom of the
+    descending ``log_probs``.  Returned counts are exact.
+    """
+    support = [i for i, p in enumerate(probs) if p > 0.0]
+    lnp = {i: math.log(probs[i]) for i in support}
+    groups = []
+    for comp in itertools.product(range(n + 1), repeat=len(support)):
+        if sum(comp) != n:
+            continue
+        lp = math.fsum(k * lnp[sym] for k, sym in zip(comp, support) if k)
+        j = min(range(len(log_probs)), key=lambda i: abs(log_probs[i] - lp))
+        if j != atom or abs(log_probs[j] - lp) > 1e-9 * max(1.0, abs(lp)):
+            continue
+        sig = [0] * len(probs)
+        for k, sym in zip(comp, support):
+            sig[sym] = k
+        count = math.factorial(n)
+        for k in comp:
+            count //= math.factorial(k)
+        groups.append((tuple(sig), count))
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def rank_within_atom(row, groups):
+    """Rank of a sequence inside its atom: signature-major, then arrangement order."""
+    sig = tuple(row.count(sym) for sym in range(len(groups[0][0])))
+    base = 0
+    for g_sig, g_count in groups:
+        if g_sig == sig:
+            return base + _rank_within_type(row, list(sig))
+        base += g_count
+    raise ValueError("sample signature not found in its matched atom")

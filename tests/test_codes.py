@@ -615,6 +615,14 @@ def test_simulate_validation():
         simulate_roundtrip(c, u, np.array([[0, 0]]), 2)
     with pytest.raises(ValidationError):
         simulate_roundtrip(c, d, np.array([[0, 1]]), math.nan)
+    c3 = construct_code(iid_spectrum(d, 3), 0.1)
+    for row in ([-1, 1, 1], [0, 1, 5], [0.5, 1, 1]):
+        with pytest.raises(ValidationError, match=r"integer symbols in \[0, 2\)"):
+            simulate_roundtrip(c3, d, np.array([row]), 10)
+    z = make_distribution([0.1, 0.0, 0.4, 0.5])
+    with pytest.raises(ValidationError, match="does not match"):
+        # A zero-probability symbol makes the sequence unreachable: no atom.
+        simulate_roundtrip(construct_code(iid_spectrum(z, 3), 0.3), z, np.array([[1, 1, 1]]), 10)
 
 
 def _simulate_loop(c, d, samples, eta):
@@ -650,9 +658,9 @@ def _simulate_loop(c, d, samples, eta):
         atom = int(idx[r])
         groups = group_cache.get(atom)
         if groups is None:
-            groups = codes_module._atom_type_groups(s, d, atom)
+            groups = orc.atom_type_groups(s.log_probs.tolist(), d.probs.tolist(), s.n, atom)
             group_cache[atom] = groups
-        if codes_module._rank_within_atom(samples[r], groups) < assigned[atom]:
+        if orc.rank_within_atom(samples[r].tolist(), groups) < assigned[atom]:
             if length_over[atom]:
                 overflows += 1
         else:
@@ -672,16 +680,46 @@ def test_simulate_equals_loop(probs, n, eps, fraction, seed):
         assert simulate_roundtrip(c, d, samples, eta) == _simulate_loop(c, d, samples, eta)
 
 
-def test_simulate_refuses_enumeration_past_ceiling(monkeypatch):
-    # A uniform source over 6 symbols is one atom, so its spectrum is cheap,
-    # but ranking a sample of the split atom would walk C(25, 5) = 53,130
-    # compositions of the uncollapsed support.
-    from overflowlab import CeilingExceeded, sample_sequences
-    monkeypatch.setattr(codes_module, "DEFAULT_TYPE_CEILING", 50_000)
-    d = make_distribution([1 / 6] * 6)
-    c = construct_code(iid_spectrum(d, 20), 0.5)
-    with pytest.raises(CeilingExceeded, match="53130 compositions over 6 support symbols"):
-        simulate_roundtrip(c, d, sample_sequences(d, 20, 4, seed=1), 60)
+def test_simulate_ranks_the_extremes_of_uniform_4ary_n400():
+    # Uniform 4-ary at n = 400 is one atom of 4 ** 400 sequences, split in
+    # half at eps = 0.5; its support has C(403, 3), about 1.1e7, compositions,
+    # more than the type ceiling.  Signature-major order puts the all-3 row
+    # first and the all-0 row last.
+    d = make_distribution([0.25] * 4)
+    c = construct_code(iid_spectrum(d, 400), 0.5)
+    rows = np.array([[3] * 400, [0] * 400])
+    assert codes_module._atom_ranks(c.spectrum, d, 0, rows) == [0, 4 ** 400 - 1]
+    assert simulate_roundtrip(c, d, rows[:1], 800) == (0.0, 0.0)
+    assert simulate_roundtrip(c, d, rows[1:], 800) == (1.0, 0.0)
+
+
+BRUTE_ALPHABETS = [
+    (0.3, 0.7), (0.2, 0.3, 0.5), (0.25, 0.25, 0.25, 0.25),
+    (0.1, 0.0, 0.4, 0.5),        # a zero-probability symbol
+    (0.2, 0.2, 0.3, 0.3),        # two levels of equal-probability symbols
+    (0.1, 0.15, 0.3, 0.45),      # p0 * p3 = p1 * p2: distinct types merge
+]
+
+
+@pytest.mark.parametrize("probs", BRUTE_ALPHABETS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_atom_ranks_equal_sorted_enumeration(probs, n):
+    # Every sequence of every atom, sorted by (signature, sequence): the
+    # library's rank of each must be its position.
+    import itertools
+    d = make_distribution(list(probs))
+    s = iid_spectrum(d, n)
+    lnp = np.log(np.where(d.probs > 0.0, d.probs, 1.0))
+    seqs = [q for q in itertools.product(range(len(probs)), repeat=n)
+            if all(probs[sym] > 0.0 for sym in q)]
+    lps = np.array([math.fsum(lnp[list(q)]) for q in seqs])
+    atom_of = np.abs(s.log_probs[None, :] - lps[:, None]).argmin(axis=1)
+    for atom in range(len(s)):
+        members = sorted((tuple(q.count(sym) for sym in range(len(probs))), q)
+                         for q, a in zip(seqs, atom_of.tolist()) if a == atom)
+        assert len(members) == s.counts[atom]
+        rows = np.array([q for _, q in members])
+        assert codes_module._atom_ranks(s, d, atom, rows) == list(range(len(members)))
 
 
 def test_code_queries_build_no_assignments(monkeypatch):
@@ -719,4 +757,22 @@ def test_package_reads_no_per_atom_views():
                                                                  "prefix_mass",
                                                                  "suffix_mass"):
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []
+
+
+def test_one_type_enumerator():
+    # Types are enumerated in sources alone; every other module asks
+    # sources.level_types for them.
+    import ast
+    import pathlib
+
+    import overflowlab
+    offenders = []
+    for path in sorted(pathlib.Path(overflowlab.__file__).parent.glob("*.py")):
+        if path.name == "sources.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # A call, an import or a definition: names, attributes, aliases.
+            if "_type_classes" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                offenders.append(f"{path.name}: {ast.dump(node)[:60]}")
     assert offenders == []
