@@ -157,12 +157,18 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
         return CountingReport(ok=False, first_violation=(int(lengths[0]), first_count, 0))
     # Lengths are non-decreasing, so each distinct length ends a run of atoms
     # and the decoded count up to it is a prefix count.
+    # The budget at length t is (K^(t+1) - K) / (K - 1), so cum exceeds it
+    # exactly when cum * (K - 1) > K^(t+1) - K; one running power K^(t+1) is
+    # carried up from the previous distinct length instead of built afresh.
     boundary_cum = (s.count_through(b - 1) if b else 0) + sel.boundary_taken
     run_ends = [*np.flatnonzero(np.diff(lengths)).tolist(), len(lengths) - 1]
+    k, t_prev, power = s.base, 0, s.base
     for i, t in zip(run_ends, lengths[run_ends].tolist()):
         cum = s.count_through(i) if i < b else boundary_cum
-        if cum > (budget := string_budget(s.base, t)):
-            return CountingReport(ok=False, first_violation=(t, cum, budget))
+        power *= k ** (t - t_prev)
+        t_prev = t
+        if cum * (k - 1) > power - k:
+            return CountingReport(ok=False, first_violation=(t, cum, string_budget(k, t)))
     return CountingReport(ok=True, first_violation=None)
 
 

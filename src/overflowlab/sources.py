@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,15 +101,18 @@ def make_distribution(probs: Sequence[float], base: int = 2) -> Distribution:
         raise ValidationError("probs: all entries are zero")
     p = p / total
     # Renormalization can leave the sum one ulp away from 1; nudge the largest
-    # entry so the dataclass invariant (sum within 1e-12) holds exactly.
+    # entry so the sum is exactly 1.  A largest entry that other symbols share
+    # is left alone, since moving one of them would split a probability level
+    # (a uniform source into two); the sum then stays within a few ulps of 1,
+    # far inside the Distribution's 1e-12 check.
     drift = 1.0 - float(p.sum())
-    if drift != 0.0:
-        p[int(np.argmax(p))] += drift
+    top = int(np.argmax(p))
+    if drift != 0.0 and np.count_nonzero(p == p[top]) == 1:
+        p[top] += drift
     return Distribution(probs=p, base=int(base))
 
 
-@dataclass(frozen=True)
-class SpectrumAtom:
+class SpectrumAtom(NamedTuple):
     """One distinct per-sequence probability level of a block distribution."""
 
     log_prob_per_seq: float  # ln P(x^n) shared by every sequence in the atom
@@ -151,8 +154,10 @@ class Spectrum:
             raise NumericError("atom with empty sequence count")
         # Capping the exponent at 1 keeps exp from overflowing on an
         # inconsistent count; any capped mass still fails the check below.
-        masses = np.array([math.exp(min(math.log(c) + lp, 1.0))
-                           for c, lp in zip(counts, lps.tolist())])
+        exponents = np.fromiter(map(math.log, counts), float, len(counts))
+        exponents += lps
+        np.minimum(exponents, 1.0, out=exponents)
+        masses = np.fromiter(map(math.exp, exponents.tolist()), float, len(counts))
         heaviest = float(masses.max())
         if heaviest > 1.0 + 1e-9:
             raise NumericError(f"atom mass {heaviest!r} outside [0, 1]")
@@ -168,8 +173,9 @@ class Spectrum:
     @cached_property
     def atoms(self) -> tuple[SpectrumAtom, ...]:
         """One SpectrumAtom per atom, built on first read from the columns."""
-        return tuple(map(SpectrumAtom, self.log_probs.tolist(), self.counts,
-                         self.masses.tolist()))
+        # tuple.__new__ makes each named tuple without a Python-level call.
+        return tuple(map(tuple.__new__, itertools.repeat(SpectrumAtom),
+                         zip(self.log_probs.tolist(), self.counts, self.masses.tolist())))
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -239,7 +245,8 @@ class Spectrum:
         return self._count_totals.total
 
 
-def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+def _type_classes(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]] = ()
+                  ) -> Iterator[tuple]:
     """Every type of n symbols over len(mults) probability levels, with its size.
 
     Iterates ``(ks, count)`` for each vector ks of nonnegative ints summing to
@@ -250,19 +257,27 @@ def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...
     divide.  When the last two levels hold equally many symbols, the split
     (k, rem - k) has the count of (rem - k, k): only the first half is
     computed and the second half yields the same int objects in reverse.
+
+    Each row of integer ``weights`` (one int per level) appends the exact sum
+    sum_j k_j * w_j to the tuple: ``(ks, count, x)`` for one row, ``(ks,
+    count, x, y)`` for two.  Along the last two levels a sum steps by one
+    constant, so it costs one big-integer add per type.
     """
     mults = [int(m) for m in mults]
     if len(mults) == 1:
-        return iter([((n,), mults[0] ** n)])
+        return iter([((n,), mults[0] ** n, *(n * w[0] for w in weights))])
     *outer, ma, mb = mults
 
-    def walk(prefix: tuple[int, ...], rem: int, head: int):
-        # head = n! / (prod of prefix k! * rem!) * prod of prefix m^k
+    def walk(prefix: tuple[int, ...], rem: int, head: int, accs: list[int]):
+        # head = n! / (prod of prefix k! * rem!) * prod of prefix m^k, and
+        # accs[r] = sum of prefix k * weights[r]
         if len(prefix) < len(outer):
-            m = outer[len(prefix)]
+            j = len(prefix)
+            m = outer[j]
             for k in range(rem + 1):
-                yield from walk(prefix + (k,), rem - k, head)
+                yield from walk(prefix + (k,), rem - k, head, accs)
                 head = head * ((rem - k) * m) // (k + 1)
+                accs = [a + w[j] for a, w in zip(accs, weights)]
             return
         # The last two levels split rem as (k, rem - k).  Symmetric levels
         # compute k = 0 .. rem // 2 and mirror the rest.
@@ -273,10 +288,12 @@ def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...
             count = count * ((rem - k) * ma) // ((k + 1) * mb)
             counts.append(count)
         counts += counts[:rem - last][::-1]
-        for k, count in enumerate(counts):
-            yield prefix + (k, rem - k), count
+        sums = [itertools.accumulate(itertools.repeat(w[-2] - w[-1], rem), initial=a + rem * w[-1])
+                for a, w in zip(accs, weights)]
+        for k, row in enumerate(zip(counts, *sums)):
+            yield (prefix + (k, rem - k), *row)
 
-    return walk((), n, 1)
+    return walk((), n, 1, [0] * len(weights))
 
 
 def _check_ceiling(n: int, groups: int, ceiling: int) -> None:
@@ -342,6 +359,36 @@ def _mass_tol(n: int, alphabet_size: int) -> float:
     return MASS_TOL_LARGE if (n > 1000 and alphabet_size > 2) else MASS_TOL
 
 
+def _log_units(probs: np.ndarray, n: int) -> tuple[list[int], int, int]:
+    """Integer weights that make the log probability of a type one exact sum.
+
+    Returns ints u_j and a shift s with log(probs[j]) == u_j * 2**-s exactly,
+    log being the double ``np.log`` gives (one power-of-two denominator over
+    the ``as_integer_ratio`` of every entry).  A type's log probability
+    sum_j k_j * log(probs[j]) is then the integer sum_j k_j * u_j times
+    2**-s: ``float`` rounds that integer once, correctly, and the scaling is
+    exact.  A zero probability weighs ``floor`` = -2**b, where 2**b exceeds n
+    times every other |u_j|, so a type with a symbol on it sums to at most
+    ``floor`` and every other type to more.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log(probs).tolist()
+    ratios = {x: x.as_integer_ratio() for x in logs if x != -math.inf}
+    den = max(d for _, d in ratios.values())
+    units = {x: num * (den // d) for x, (num, d) in ratios.items()}
+    floor = -1 << ((n * max(map(abs, units.values()))).bit_length() + 1)
+    return [units.get(x, floor) for x in logs], den.bit_length() - 1, floor
+
+
+def _unit_log_probs(sums: list[float], shift: int, floor: int) -> np.ndarray:
+    """The log probabilities of types from their rounded ``_log_units`` sums."""
+    lps = np.array(sums, dtype=float)
+    dead = lps <= float(floor)
+    np.ldexp(lps, -shift, out=lps)
+    lps[dead] = -np.inf
+    return lps
+
+
 def iid_spectrum(d: Distribution, n: int, *,
                  type_ceiling: int = DEFAULT_TYPE_CEILING) -> Spectrum:
     """Exact spectrum of n i.i.d. draws from ``d``.
@@ -350,24 +397,28 @@ def iid_spectrum(d: Distribution, n: int, *,
     levels of ``d`` (symbols sharing a level are aggregated, which keeps
     permutation-equal types exactly merged), computes each type's sequence
     count as an exact integer, and its mass as exp(log(count) + log P).
+    Over two levels log P is k0 * log q0 + (n - k0) * log q1 in floating
+    point, one array expression; over one or three and more it is the exact
+    sum of k_j * log q_j, correctly rounded (``_log_units``).
     """
-    values, _, types = level_types(d, n, type_ceiling=type_ceiling)
-    logq = np.log(values)
-    # Each type vector is dropped as soon as it is read: keeping one tuple per
-    # type alive would run the cyclic garbage collector over them many times
-    # per build.
+    values, mults, types = level_types(d, n, type_ceiling=type_ceiling)
     if len(values) == 2:
         counts = [count for _, count in types]
+        logq = np.log(values)
         k0 = np.arange(n + 1)  # types (0, n), (1, n - 1), ... in lexicographic order
         lps = k0 * float(logq[0]) + (n - k0) * float(logq[1])
+        if not np.all(np.isfinite(lps)):
+            raise NumericError("log probability overflowed")
     else:
+        units, shift, floor = _log_units(values, n)
+        # Each type vector is dropped as soon as it is read: keeping one tuple
+        # per type alive would run the cyclic garbage collector over them many
+        # times per build.
         lps, counts = [], []
-        for ks, count in types:
-            lps.append(float(np.dot(ks, logq)))
+        for _, count, x in _type_classes(n, mults, [units]):
+            lps.append(float(x))
             counts.append(count)
-        lps = np.array(lps)
-    if not np.all(np.isfinite(lps)):
-        raise NumericError("log probability overflowed")
+        lps = _unit_log_probs(lps, shift, floor)
     return _finish_spectrum(n, d.base, lps, counts, _mass_tol(n, d.alphabet_size),
                             d.support_size ** n)
 
@@ -386,7 +437,10 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
 
     The block probability of a sequence is w1*P1(x^n) + (1-w1)*P2(x^n), which
     depends on the sequence only through its type, so one atom per distinct
-    pair of component log probabilities suffices.
+    pair of component log probabilities suffices.  Each component's log
+    probability of a type is the correctly rounded exact sum of k_j * log q_j
+    (``_log_units``), -inf when the type puts a symbol where the component
+    has probability 0.
 
     Arguments
     ---------
@@ -401,38 +455,26 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
     p2 = np.asarray(d2.probs)
     keep = (p1 > 0.0) | (p2 > 0.0)
     pairs: dict[tuple[float, float], int] = {}
-    for a, b in zip(p1[keep], p2[keep]):
-        pairs[(float(a), float(b))] = pairs.get((float(a), float(b)), 0) + 1
-    vals = list(pairs.items())
-    g = len(vals)
-    _check_ceiling(n, g, type_ceiling)
-    with np.errstate(divide="ignore"):
-        l1 = np.log(np.array([v[0][0] for v in vals]))
-        l2 = np.log(np.array([v[0][1] for v in vals]))
-    mults = [v[1] for v in vals]
-    lw1 = math.log(w1)
-    lw2 = math.log1p(-w1)
-    lps: list[float] = []
-    counts: list[int] = []
-    for ks, count in _type_classes(n, mults):
-        # Component log probs; a zero-probability symbol with k > 0 kills the component.
-        t1 = 0.0
-        t2 = 0.0
-        for kj, a, b in zip(ks, l1, l2):
-            if kj:
-                t1 += kj * a
-                t2 += kj * b
-        lp = float(np.logaddexp(lw1 + t1, lw2 + t2))
-        if lp == -math.inf:
-            continue  # unreachable under both components
-        if not math.isfinite(lp):
-            raise NumericError("log probability overflowed")
-        lps.append(lp)
+    for a, b in zip(p1[keep].tolist(), p2[keep].tolist()):
+        pairs[(a, b)] = pairs.get((a, b), 0) + 1
+    _check_ceiling(n, len(pairs), type_ceiling)
+    units1, shift1, floor1 = _log_units(np.array([a for a, _ in pairs]), n)
+    units2, shift2, floor2 = _log_units(np.array([b for _, b in pairs]), n)
+    sums1, sums2, counts = [], [], []
+    for _, count, x1, x2 in _type_classes(n, list(pairs.values()), [units1, units2]):
+        sums1.append(float(x1))
+        sums2.append(float(x2))
         counts.append(count)
+    lps = np.logaddexp(math.log(w1) + _unit_log_probs(sums1, shift1, floor1),
+                       math.log1p(-w1) + _unit_log_probs(sums2, shift2, floor2))
+    del sums1, sums2  # free the per-type floats before the merge
+    # Types unreachable under both components have log probability -inf.
+    reachable = lps != -math.inf
     # Sequences reachable under either component: |S1|^n + |S2|^n - |S1 & S2|^n.
     both = int(np.count_nonzero((p1 > 0.0) & (p2 > 0.0)))
     total = d1.support_size ** n + d2.support_size ** n - both ** n
-    return _finish_spectrum(n, d1.base, np.array(lps), counts,
+    return _finish_spectrum(n, d1.base, lps[reachable],
+                            list(itertools.compress(counts, reachable.tolist())),
                             _mass_tol(n, d1.alphabet_size), total)
 
 

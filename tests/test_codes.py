@@ -3,11 +3,12 @@ the round-trip simulator."""
 
 import bisect
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import _oracle as orc
 import overflowlab.codes as codes_module
@@ -191,6 +192,49 @@ def test_counting_rejects_nonpositive_length():
 def test_counting_respects_base():
     r = validate_counting_condition(_bare_spec((3,), (1,), base=3))
     assert r.ok
+
+
+def _counting_loop(c):
+    """Reference: one fresh string_budget per distinct codeword length."""
+    s, sel, lengths, b = c.spectrum, c.selection, c.lengths.tolist(), c.selection.full_atoms
+    if lengths[0] < 1:
+        return (lengths[0], s.counts[0] if b else sel.boundary_taken, 0)
+    cum = 0
+    for i, t in enumerate(lengths):
+        cum += s.counts[i] if i < b else sel.boundary_taken
+        if (i + 1 == len(lengths) or lengths[i + 1] != t) and cum > string_budget(s.base, t):
+            return (t, cum, string_budget(s.base, t))
+    return None
+
+
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 3)), min_size=1, max_size=12),
+       st.sampled_from([2, 3]))
+@example([(3, 1)], 2)             # the overfull length-one code
+@example([(2, 1), (4, 1)], 2)     # exactly full at both lengths
+@example([(2, 1), (5, 1)], 2)     # cumulative overflow at length two
+@example([(3, 1)], 3)             # fits in base 3
+@example([(3, 1), (10, 1)], 3)    # 13 > 12 strings of length <= 2 in base 3
+def test_counting_equals_per_length_budgets_on_bare_codes(atoms, base):
+    counts = [c for c, _ in atoms]
+    lengths = list(itertools.accumulate(step for _, step in atoms))
+    lengths = [max(t, 1) for t in lengths]
+    r = validate_counting_condition(_bare_spec(tuple(counts), tuple(lengths), base=base))
+    want = _counting_loop(_bare_spec(tuple(counts), tuple(lengths), base=base))
+    assert r.first_violation == want
+    assert r.ok == (want is None)
+
+
+@given(st.sampled_from([(0.11, 0.89), (0.3, 0.7), (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4)]),
+       st.integers(2, 60), st.sampled_from([2, 3]), st.floats(0.0, 0.5), st.integers(0, 4))
+def test_counting_equals_per_length_budgets_on_built_codes(probs, n, base, eps, shorten):
+    # Shortening every codeword by the same amount keeps the lengths
+    # non-decreasing and drives the cumulative counts past the budgets,
+    # through the split boundary atom too.
+    c = construct_code(iid_spectrum(make_distribution(list(probs), base=base), n), eps)
+    c = CodeSpec(spectrum=c.spectrum, selection=c.selection,
+                 lengths=np.maximum(c.lengths - shorten, 1), error_mass=c.error_mass)
+    want = _counting_loop(c)
+    assert validate_counting_condition(c).first_violation == want
 
 
 def test_codespec_rejects_malformed_lengths():

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,15 @@ def test_uniform_spectrum_is_one_atom():
         assert abs(float(s.rates[0]) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_uniform_source_is_one_level(k):
+    # Renormalizing [1/k] * k leaves a sum an ulp off 1; moving one entry to
+    # fix it would split the uniform source into two probability levels.
+    values, mults, types = sources.level_types(make_distribution([1 / k] * k), 30)
+    assert mults.tolist() == [k]
+    assert [count for _, count in types] == [k ** 30]
+
+
 def test_large_n_binary_spectrum_is_exact():
     d = make_distribution([0.3, 0.7])
     n = 2000
@@ -187,6 +197,9 @@ def test_spectrum_validation_rejects_disorder():
         Spectrum(n=2, base=2, log_probs=[], counts=())
     with pytest.raises(NumericError):
         Spectrum(n=2, base=2, log_probs=good.log_probs, counts=good.counts[:-1])
+    # A count far past the probability: the capped exponent keeps exp finite.
+    with pytest.raises(NumericError, match="atom mass"):
+        Spectrum(n=2, base=2, log_probs=[-1.0], counts=(10 ** 400,))
 
 
 def test_atoms_view_reads_the_columns_once():
@@ -195,6 +208,10 @@ def test_atoms_view_reads_the_columns_once():
     assert s.atoms == tuple(SpectrumAtom(lp, c, m) for lp, c, m in
                             zip(s.log_probs.tolist(), s.counts, s.masses.tolist()))
     assert all(type(a.log_prob_per_seq) is float and type(a.mass) is float for a in s.atoms)
+    assert all(type(a) is SpectrumAtom for a in s.atoms)
+    lp, count, mass = s.log_probs.tolist()[0], s.counts[0], s.masses.tolist()[0]
+    assert repr(s.atoms[0]) == (f"SpectrumAtom(log_prob_per_seq={lp!r}, count={count!r}, "
+                                f"mass={mass!r})")
 
 
 def test_prefix_and_suffix_masses_are_complementary():
@@ -360,9 +377,10 @@ def test_build_checks_the_exact_total_count(build, monkeypatch):
     # the mass tolerance: only the exact total count can catch it.
     real = sources._type_classes
 
-    def one_too_many(n, mults):
-        types = list(real(n, mults))
-        types[0] = (types[0][0], types[0][1] + 1)
+    def one_too_many(*args):
+        types = list(real(*args))
+        ks, count, *sums = types[0]
+        types[0] = (ks, count + 1, *sums)
         return iter(types)
 
     monkeypatch.setattr(sources, "_type_classes", one_too_many)
@@ -460,6 +478,156 @@ def test_binary_log_probs_equal_scalar_expression(p, n):
     l0, l1 = math.log(values[0]), math.log(values[1])
     want = sorted((k * l0 + (n - k) * l1 for k in range(n + 1)), reverse=True)
     assert iid_spectrum(d, n).log_probs.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# Exact log probabilities over one or three and more levels, and of mixtures
+
+
+def _exact_log_probs(types, probs):
+    """float(sum_j k_j * log q_j) for each ks in ``types``, with the sum exact:
+    the doubles np.log gives, summed as Fractions, or -inf where a k_j > 0
+    has q_j = 0."""
+    logs = [Fraction(float(np.log(q))) if q > 0.0 else None for q in probs]
+    return [-math.inf if any(k and x is None for k, x in zip(ks, logs))
+            else float(sum(k * x for k, x in zip(ks, logs) if k)) for ks in types]
+
+
+def _candidates(build):
+    """The candidate log probabilities and counts a build hands to
+    _finish_spectrum, in enumeration order, and the finished spectrum."""
+    seen = {}
+    real = sources._finish_spectrum
+
+    def capture(n, base, lps, counts, mass_tol, total):
+        seen["lps"], seen["counts"] = np.array(lps).tolist(), list(counts)
+        return real(n, base, lps, counts, mass_tol, total)
+
+    sources._finish_spectrum = capture
+    try:
+        s = build()
+    finally:
+        sources._finish_spectrum = real
+    return seen["lps"], seen["counts"], s
+
+
+def _level_probs(draw_weights):
+    raw = [float(x) for x in draw_weights]
+    return [x / sum(raw) for x in raw]
+
+
+_MERGING = [r / (1 + 1.4 + 2.3 + 1.4 * 2.3) for r in (1.0, 1.4, 2.3, 1.4 * 2.3)]
+_probs_3_to_5 = st.lists(st.floats(0.01, 10.0), min_size=3, max_size=5).map(_level_probs)
+
+
+@given(st.one_of(_probs_3_to_5,
+                 st.sampled_from([[0.2, 0.3, 0.5], [0.1, 0.0, 0.4, 0.5], [0.3, 0.0, 0.3, 0.4],
+                                  [1e-6, 2e-6, 1 - 3e-6], [1e-12, 0.25, 0.25, 0.5 - 1e-12],
+                                  _MERGING])),
+       st.integers(1, 25))
+@example([0.2, 0.3, 0.5], 190)
+def test_iid_log_probs_are_correctly_rounded_exact_sums(probs, n):
+    d = make_distribution(probs)
+    values, mults, _ = sources.level_types(d, n)
+    if len(values) == 2:
+        return  # the binary rule, tested against its scalar expression
+    lps, counts, _ = _candidates(lambda: iid_spectrum(d, n))
+    want = _reference_types(n, mults.tolist())
+    assert counts == [c for _, c in want]
+    assert lps == _exact_log_probs([ks for ks, _ in want], values.tolist())
+
+
+def test_uniform_log_prob_is_the_rounded_product():
+    # One level: the exact sum n * log q rounded once is the float product.
+    for k, n in ((3, 50), (6, 31), (7, 1000)):
+        d = make_distribution([1 / k] * k)
+        s = iid_spectrum(d, n)
+        q = float(np.log(d.probs[0]))
+        assert s.log_probs.tolist() == [n * q] == _exact_log_probs([(n,)], [d.probs[0]])
+
+
+_zero_or_level = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@given(st.lists(st.tuples(_zero_or_level, _zero_or_level), min_size=2, max_size=4)
+       .filter(lambda rows: all(any(r[c] for r in rows) for c in (0, 1))),
+       st.floats(0.05, 0.95), st.integers(1, 25))
+@example([(0.5, 0.0), (0.5, 0.4), (0.0, 0.6)], 0.5, 20)   # a zero in each component
+@example([(1.0, 0.0), (0.0, 1.0)], 0.3, 9)               # disjoint supports
+@example([(1e-6, 0.2), (2e-6, 0.3), (1 - 3e-6, 0.5)], 0.4, 12)
+def test_mixture_components_are_correctly_rounded_exact_sums(rows, w1, n):
+    p1 = _level_probs(r[0] for r in rows)
+    p2 = _level_probs(r[1] for r in rows)
+    d1, d2 = make_distribution(p1), make_distribution(p2)
+    lps, counts, s = _candidates(lambda: mixed_spectrum(d1, d2, w1, n))
+    pairs = {}
+    for a, b in zip(d1.probs.tolist(), d2.probs.tolist()):
+        if a > 0.0 or b > 0.0:
+            pairs[(a, b)] = pairs.get((a, b), 0) + 1
+    types = _reference_types(n, list(pairs.values()))
+    kinds = [ks for ks, _ in types]
+    t1s = _exact_log_probs(kinds, [a for a, _ in pairs])
+    t2s = _exact_log_probs(kinds, [b for _, b in pairs])
+    want_lps, want_counts = [], []
+    for (_, count), t1, t2 in zip(types, t1s, t2s):
+        lp = float(np.logaddexp(math.log(w1) + t1, math.log1p(-w1) + t2))
+        if lp != -math.inf:
+            want_lps.append(lp)
+            want_counts.append(count)
+    assert lps == want_lps
+    assert counts == want_counts
+    s1, s2 = (sum(x > 0.0 for x in d.probs.tolist()) for d in (d1, d2))
+    both = sum(a > 0.0 and b > 0.0 for a, b in zip(d1.probs.tolist(), d2.probs.tolist()))
+    assert s.total_count == s1 ** n + s2 ** n - both ** n
+
+
+def test_log_units_weigh_zero_probabilities_below_every_live_sum():
+    n = 50
+    probs = np.array([0.0, 1e-300, 0.5, 0.0, 1 - 1e-16])
+    units, shift, floor = sources._log_units(probs, n)
+    for j, q in enumerate(probs.tolist()):
+        if q > 0.0:
+            assert Fraction(units[j], 1 << shift) == Fraction(float(np.log(q)))
+        else:
+            assert units[j] == floor
+    assert n * min(u for u in units if u != floor) > floor
+    # The lightest live type sums above the floor, the heaviest dead one at it.
+    got = sources._unit_log_probs([float(n * units[1]), float(floor), float(floor + units[4])],
+                                  shift, floor)
+    assert got.tolist() == [*_exact_log_probs([(0, n)], [0.0, 1e-300]), -math.inf, -math.inf]
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 30),
+       st.lists(st.integers(-(1 << 120), 1 << 120), min_size=8, max_size=8))
+@example([1, 1, 1], 1, [5, -7, 0, 0, 0, 0, 0, 0])   # rem = 0 and rem = 1 on the last two
+@example([2, 2], 4, [3, 3, 1, 1, 0, 0, 0, 0])       # equal weights on the last two levels
+def test_type_classes_carry_exact_weighted_sums(mults, n, pool):
+    rows = [pool[:len(mults)], pool[4:4 + len(mults)]]
+    plain = list(sources._type_classes(n, mults))
+    for r in (1, 2):
+        got = list(sources._type_classes(n, mults, rows[:r]))
+        assert [t[:2] for t in got] == plain
+        assert [t[2:] for t in got] == [tuple(sum(map(operator.mul, ks, w)) for w in rows[:r])
+                                        for ks, _ in plain]
+
+
+def _masses_loop(counts, lps):
+    """The per-atom expression the mass column is defined by."""
+    return [math.exp(min(math.log(c) + lp, 1.0)) for c, lp in zip(counts, lps)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: iid_spectrum(make_distribution([0.11, 0.89]), 20000),
+    lambda: iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 190),
+    lambda: iid_spectrum(make_distribution(_MERGING), 60),
+    lambda: mixed_spectrum(make_distribution([0.2, 0.3, 0.5]),
+                           make_distribution([0.5, 0.0, 0.5]), 0.4, 60),
+    lambda: Spectrum(n=3, base=2, log_probs=[-1e-300, -745.0, -800.0],
+                     counts=[1, 2, 10 ** 300]),
+], ids=["binary-20000", "ternary-190", "merging-60", "mixture-60", "tiny-and-subnormal"])
+def test_masses_equal_the_per_atom_expression(build):
+    s = build()
+    assert s.masses.tolist() == _masses_loop(s.counts, s.log_probs.tolist())
 
 
 # ---------------------------------------------------------------------------
