@@ -42,4 +42,4 @@ m = mixed_spectrum(make_distribution([0.2, 0.8]),
                    make_distribution([0.4, 0.6]), 0.5, 6)
 print(f"equal mixture of Bernoulli(0.2) and Bernoulli(0.4), n = 6: "
       f"{len(m)} atoms")
-print("  rates:", np.array2string(m.rates, precision=3))
+print("  rates:", np.array2string(np.asarray(m.rates), precision=3))

@@ -1,14 +1,15 @@
-"""Small numeric helpers: range checks, guarded integer splits, doubling searches,
-and exact summation, with running totals of ints kept at block edges."""
+"""Small numeric helpers: range and integer checks, read-only columns, guarded
+integer splits, doubling searches, and exact summation, with running totals of
+ints kept at block edges.  Standard library only."""
 
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
+import operator
+from array import array
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -28,6 +29,29 @@ def check_range(name: str, x: float, lo: float, hi: float, shown: str = "") -> N
     """
     if not (lo <= x < hi):
         raise ValidationError(f"{name}: must lie in {shown or f'[{lo}, {hi})'}, got {x}")
+
+
+def check_int(name: str, x, lo: float) -> int:
+    """``x`` as a Python int, or ValidationError unless it is an integer >= lo.
+
+    Integers are what ``operator.index`` accepts (numpy integers included);
+    bool is refused although it is an int, and so is any float, even 2.0.
+    """
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        value = operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{name}: must be an integer, got {x!r}") from None
+    check_range(name, value, lo, math.inf)
+    return value
+
+
+def column(typecode: str, values: Iterable) -> memoryview:
+    """A read-only column of 8-byte items: ``array(typecode, values)`` behind
+    a memoryview, so it indexes, slices without copying, and converts with
+    ``tolist``, ``tobytes`` or ``numpy.asarray`` (sharing memory)."""
+    return memoryview(array(typecode, values)).toreadonly()
 
 
 def check_budgets(eps: float, delta: float) -> None:
@@ -97,19 +121,8 @@ def count_mass(k: int, lp: float) -> float:
 
 
 # Items in the first run of a doubling search; each further run doubles, so a
-# search that ends w items in costs O(log w) vector passes, not one pass over
-# everything.
+# search that ends w items in sums at most about 2w items, not everything.
 FIRST_RUN = 256
-
-
-def doubling_runs(start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges [lo, hi) covering [start, stop), of FIRST_RUN,
-    2 * FIRST_RUN, 4 * FIRST_RUN, ... items (the last one cut at ``stop``)."""
-    size = FIRST_RUN
-    while start < stop:
-        yield start, min(start + size, stop)
-        start += size
-        size *= 2
 
 
 # Every finite double is an integer multiple of 2**-1074, the least subnormal,
@@ -123,32 +136,39 @@ def exact_units(x: float) -> int:
     return num << (UNIT_BITS + 1 - den.bit_length())
 
 
-def unit_terms(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Finite doubles as int64 mantissas and shifts, in one vector pass:
-    ``values[i]`` is exactly ``mantissas[i] << shifts[i]`` units of
-    2**-UNIT_BITS, the same integer ``exact_units`` gives."""
-    fracs, exps = np.frexp(values)
-    shifts = exps.astype(np.int64) + (UNIT_BITS - 53)
-    # A subnormal's shift comes out negative; its low mantissa bits are zero.
-    low = np.minimum(shifts, 0)
-    return np.ldexp(fracs, 53 + low).astype(np.int64), shifts - low
+def float_sum_units(values: list[float]) -> int:
+    """Exact sum of finite doubles as an integer multiple of 2**-UNIT_BITS.
+
+    ``math.fsum`` rounds the sum correctly; appending that rounded sum,
+    negated, leaves the exact remainder for the next fsum to round, and the
+    remainder is zero after a few rounds (each one shrinks it by 2**-52 or
+    more).  The list is extended in place.
+    """
+    total = 0
+    while (r := math.fsum(values)) != 0.0:
+        total += exact_units(r)
+        values.append(-r)
+    return total
 
 
 class RunningTotals:
     """Exact running totals of a sequence of ints, kept at the end of every
     ``BLOCK``-item block; a block's running totals are rebuilt on first touch.
 
-    ``terms(lo, hi)`` yields items lo .. hi - 1 (hi may pass the end).  It must
-    not refer to the object holding this instance: that cycle would keep the
-    holder alive until the cyclic garbage collector runs.
+    ``terms(lo, hi)`` yields items lo .. hi - 1 (hi may pass the end), and
+    ``block_total(lo, hi)``, when given, returns their sum by a faster route.
+    Neither may refer to the object holding this instance: that cycle would
+    keep the holder alive until the cyclic garbage collector runs.
     """
 
     BLOCK = 32
 
-    def __init__(self, terms: Callable[[int, int], Iterable[int]], size: int) -> None:
+    def __init__(self, terms: Callable[[int, int], Iterable[int]], size: int,
+                 block_total: Callable[[int, int], int] | None = None) -> None:
         self._terms = terms
         self._size = size
-        sums = (sum(terms(lo, lo + self.BLOCK)) for lo in range(0, size, self.BLOCK))
+        block_total = block_total or (lambda lo, hi: sum(terms(lo, hi)))
+        sums = (block_total(lo, lo + self.BLOCK) for lo in range(0, size, self.BLOCK))
         # _edges[j] is the total of items [0, j * BLOCK); the last one is the total.
         self._edges = tuple(itertools.accumulate(sums, initial=0))
         self._blocks: dict[int, tuple[int, ...]] = {}

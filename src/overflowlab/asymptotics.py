@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
-from ._util import ABOVE_ONE, ABOVE_ZERO, check_budgets, check_range
+from ._util import ABOVE_ONE, ABOVE_ZERO, check_budgets, check_int, check_range
 from .codes import optimal_threshold
+from .errors import ValidationError
 from .sources import Distribution, SwitchingSchedule, iid_spectrum, switching_spectrum
 
 __all__ = [
@@ -156,17 +157,25 @@ class AsymptoticReport:
         return self.samples[-1].second_order_gap
 
 
+def _blocklengths(n_grid: Sequence[int]) -> list[int]:
+    """The grid's blocklengths in ascending order: integers >= 1, at least one."""
+    grid = sorted(check_int("n_grid entry", n, 1) for n in n_grid)
+    if not grid:
+        raise ValidationError("n_grid: need at least one blocklength")
+    return grid
+
+
 def convergence_study(d: Distribution, eps: float, delta: float,
                       n_grid: Sequence[int]) -> AsymptoticReport:
     """Exact optimal thresholds over ``n_grid`` with their Gaussian comparison."""
     check_budgets(eps, delta)
-    check_range("least blocklength in n_grid", min(n_grid, default=0), 1, math.inf)
+    n_grid = _blocklengths(n_grid)
     h = entropy(d)
     v = varentropy(d)
     limit = second_order_threshold(d, h, eps, delta)
     ml_rate, ml_const = mean_length_constants(d, eps)
     samples = []
-    for n in sorted(n_grid):
+    for n in n_grid:
         s = iid_spectrum(d, n)
         t = optimal_threshold(s, eps, delta)
         rate = t / n
@@ -217,10 +226,10 @@ def optimistic_study(schedule: SwitchingSchedule, eps: float, delta: float,
     onto whichever component the grid happens to sample.
     """
     check_budgets(eps, delta)
-    check_range("least blocklength in n_grid", min(n_grid, default=0), 1, math.inf)
+    n_grid = _blocklengths(n_grid)
     check_range("tail_fraction", tail_fraction, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
     samples = []
-    for n in sorted(n_grid):
+    for n in n_grid:
         s = switching_spectrum(schedule, n)
         t = optimal_threshold(s, eps, delta)
         samples.append(OptimisticSample(

@@ -9,11 +9,11 @@ with all probability comparisons done in the log domain.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from ._util import ABOVE_ONE, ABOVE_ZERO, check_range
 from .codes import _decode_selection, code_overflow, construct_code, optimal_tradeoff
@@ -31,7 +31,7 @@ __all__ = [
 def _selection_mass_below(s: Spectrum, sel: PrefixSelection, ln_thresh: float) -> float:
     """Mass of the selected sequences whose per-sequence log prob is <= ln_thresh:
     the light end of the selection, from the first atom at or below it."""
-    first = int(np.searchsorted(-s.log_probs, -ln_thresh, side="left"))
+    first = bisect.bisect_left(s.log_probs, -ln_thresh, key=operator.neg)
     return selection_mass_from(s, sel, first)
 
 

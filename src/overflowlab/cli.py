@@ -21,8 +21,6 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._util import check_range
 from .asymptotics import (AsymptoticReport, OptimisticReport, convergence_study,
                           entropy, mean_length_constants, optimistic_study,

@@ -8,8 +8,11 @@ decoded string resolves to the decoded sequence (the colliding sequence was
 an error regardless of what the decoder outputs).
 
 A ``CodeSpec`` is columns over its spectrum: the decode selection and one
-read-only array of codeword lengths, one per decoded atom.  Every query reads
-those; ``CodeSpec.assignments`` is a per-atom view for outside readers.
+read-only int64 column of codeword lengths (``_util.column``), one per decoded
+atom.  Every query reads those; ``CodeSpec.assignments`` is a per-atom view
+for outside readers.  The canonical code builds its column on first read:
+until then overflow searches compute the few lengths they probe.  Only the
+round-trip simulation imports numpy, inside its functions.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from ._util import SPLIT_GUARD, check_budgets, check_range, count_mass, doubling_runs, split_count
+from ._util import (SPLIT_GUARD, check_budgets, check_int, check_range, column, count_mass,
+                    exact_units, split_count)
 from .errors import ValidationError
 from .sources import Distribution, Spectrum, level_types
 from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
@@ -45,6 +48,46 @@ class Assignment:
     length: int
 
 
+class _CanonicalLengths(NamedTuple):
+    """The canonical code's length rule: decoded atom i, of log probability
+    ``log_probs[i]``, gets ceil(-log_K(P(x) / P(A))) floored at 1, by the
+    same IEEE operations as guarded_ceil."""
+
+    log_probs: Sequence[float]  # of the decoded atoms
+    ln_mass: float              # ln P(A)
+    ln_base: float
+
+    def __call__(self, i: int) -> int:
+        return max(math.ceil((self.ln_mass - self.log_probs[i]) / self.ln_base - SPLIT_GUARD), 1)
+
+    def column(self) -> Sequence[int]:
+        ln_mass, ln_base = self.ln_mass, self.ln_base
+        lengths = [math.ceil((ln_mass - lp) / ln_base - SPLIT_GUARD)
+                   for lp in self.log_probs.tolist()]
+        # Lengths never decrease, so the ones the floor at 1 raises are a prefix.
+        short = bisect.bisect_left(lengths, 1)
+        lengths[:short] = [1] * short
+        return column("q", lengths)
+
+
+class _Lengths:
+    """``CodeSpec.lengths``, a data descriptor over ``_lengths`` in the
+    instance dict.  A code built by ``construct_code`` holds its length rule
+    there until the column is first read; searches ask the rule for the few
+    lengths they probe, so a code that is only queried builds no column."""
+
+    def __get__(self, code, owner=None):
+        if code is None:
+            raise AttributeError("lengths")  # so the dataclass field has no default
+        lengths = code.__dict__["_lengths"]
+        if isinstance(lengths, _CanonicalLengths):
+            lengths = code.__dict__["_lengths"] = lengths.column()
+        return lengths
+
+    def __set__(self, code, lengths) -> None:
+        code.__dict__["_lengths"] = lengths
+
+
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
     """A deterministic code at type granularity, compared by identity.
@@ -58,16 +101,31 @@ class CodeSpec:
 
     spectrum: Spectrum
     selection: PrefixSelection
-    lengths: np.ndarray
+    lengths: Sequence[int] = _Lengths()
     error_mass: float
 
     def __post_init__(self) -> None:
-        lengths = np.array(self.lengths, dtype=np.int64)
+        lengths = self.__dict__["_lengths"]
         decoded = self.selection.full_atoms + (self.selection.boundary_taken > 0)
-        if decoded == 0 or lengths.shape != (decoded,) or np.any(np.diff(lengths) < 0):
+        if isinstance(lengths, _CanonicalLengths):
+            ok = len(lengths.log_probs) == decoded  # non-decreasing by construction
+        else:
+            values = list(lengths)
+            try:
+                lengths = column("q", values)
+            except (TypeError, OverflowError):
+                lengths = values = None
+            ok = values is not None and len(values) == decoded and values == sorted(values)
+        if not ok or decoded == 0:
             raise ValidationError("lengths: need one per decoded atom (>= 1), non-decreasing")
-        lengths.flags.writeable = False
-        object.__setattr__(self, "lengths", lengths)
+        self.__dict__["_lengths"] = lengths
+
+    def _first_longer(self, eta: float) -> int:
+        """Index of the first decoded atom whose codeword is longer than ``eta``."""
+        lengths = self.__dict__["_lengths"]
+        if isinstance(lengths, _CanonicalLengths):
+            return bisect.bisect_right(range(len(lengths.log_probs)), eta, key=lengths)
+        return bisect.bisect_right(lengths, eta)
 
     n = property(lambda self: self.spectrum.n)
     base = property(lambda self: self.spectrum.base)
@@ -83,6 +141,8 @@ class CodeSpec:
 
 def string_budget(base: int, floor_eta: int) -> int:
     """Exact number of nonempty base-K strings of length <= floor_eta."""
+    base = check_int("base", base, 2)
+    floor_eta = check_int("floor_eta", floor_eta, -math.inf)
     if floor_eta < 1:
         return 0
     return (base ** (floor_eta + 1) - base) // (base - 1)
@@ -98,7 +158,7 @@ def _decode_selection(s: Spectrum, eps: float) -> PrefixSelection:
     if sel.num_sequences > 0:
         return sel
     return PrefixSelection(full_atoms=0, boundary_taken=1,
-                           mass=count_mass(1, float(s.log_probs[0])),
+                           mass=count_mass(1, s.log_probs[0]),
                            num_sequences=1)
 
 
@@ -113,13 +173,12 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     check_range("eps", eps, 0, 1)
     sel = _decode_selection(s, eps)
     b = sel.full_atoms
-    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0;
-    # the same IEEE operations as guarded_ceil, one per decoded atom.
-    ln_ratio = selection_log_mass(s, sel) - s.log_probs[:b + (sel.boundary_taken > 0)]
-    lengths = np.maximum(np.ceil(ln_ratio / math.log(s.base) - SPLIT_GUARD), 1.0)
+    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0.
+    lengths = _CanonicalLengths(s.log_probs[:b + (sel.boundary_taken > 0)],
+                                selection_log_mass(s, sel), math.log(s.base))
     err = 0.0
     if b < len(s):
-        rest = count_mass(s.counts[b] - sel.boundary_taken, float(s.log_probs[b]))
+        rest = count_mass(s.counts[b] - sel.boundary_taken, s.log_probs[b])
         err = s.mass_sum(b + 1, extra=(rest,))
     return CodeSpec(spectrum=s, selection=sel, lengths=lengths, error_mass=err)
 
@@ -132,7 +191,7 @@ def code_overflow(c: CodeSpec, eta: float) -> float:
     which never overflows for eta >= 1.
     """
     check_range("eta", eta, 1, math.inf)
-    first = int(np.searchsorted(c.lengths, eta, side="right"))
+    first = c._first_longer(eta)
     return selection_mass_from(c.spectrum, c.selection, first)
 
 
@@ -154,16 +213,17 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
     s, sel, lengths, b = c.spectrum, c.selection, c.lengths, c.selection.full_atoms
     if lengths[0] < 1:
         first_count = s.counts[0] if b else sel.boundary_taken
-        return CountingReport(ok=False, first_violation=(int(lengths[0]), first_count, 0))
+        return CountingReport(ok=False, first_violation=(lengths[0], first_count, 0))
     # Lengths are non-decreasing, so each distinct length ends a run of atoms
     # and the decoded count up to it is a prefix count.
     # The budget at length t is (K^(t+1) - K) / (K - 1), so cum exceeds it
     # exactly when cum * (K - 1) > K^(t+1) - K; one running power K^(t+1) is
     # carried up from the previous distinct length instead of built afresh.
     boundary_cum = (s.count_through(b - 1) if b else 0) + sel.boundary_taken
-    run_ends = [*np.flatnonzero(np.diff(lengths)).tolist(), len(lengths) - 1]
+    run_ends = [*itertools.compress(itertools.count(), map(operator.ne, lengths, lengths[1:])),
+                len(lengths) - 1]
     k, t_prev, power = s.base, 0, s.base
-    for i, t in zip(run_ends, lengths[run_ends].tolist()):
+    for i, t in zip(run_ends, map(lengths.__getitem__, run_ends)):
         cum = s.count_through(i) if i < b else boundary_cum
         power *= k ** (t - t_prev)
         t_prev = t
@@ -183,22 +243,48 @@ class TradeoffPoint:
     budget: int  # number of decodable strings, sum_{i<=floor(eta)} K^i
 
 
-def _junk_whole_run(masses: np.ndarray, i: int, left: float) -> tuple[int, float]:
+# Atoms in the first block of the walk that junks whole atoms; each further
+# block doubles, up to _JUNK_BLOCK_MAX, so a short walk sums few atoms past
+# its end and a long one pays the per-block cost rarely.
+_JUNK_BLOCK = 64
+_JUNK_BLOCK_MAX = 4096
+
+
+def _junk_whole_run(s: Spectrum, i: int, left: float) -> tuple[int, float]:
     """Junk whole atoms from ``i`` on while each still fits the budget ``left``.
 
     Returns the first atom not junked and the budget left before it, which is
-    <= 0 when the budget ran out.  np.subtract.accumulate subtracts in order,
-    so every running budget equals the one an atom-by-atom loop computes.
+    <= 0 when the budget ran out.  The running budgets are subtracted in
+    order, so each equals the one an atom-by-atom loop computes.
     """
-    for lo, hi in doubling_runs(i, len(masses)):
-        run = masses[lo:hi]
-        running = np.subtract.accumulate(np.concatenate(([left], run)))
-        before = running[:-1]
-        stops = np.flatnonzero((before <= 0.0) | (run > before * (1.0 + 1e-9)))
-        if len(stops):
-            j = int(stops[0])
-            return lo + j, float(before[j])
-        left = float(running[-1])
+    slack, size = 1.0 + 1e-9, _JUNK_BLOCK
+    masses, units = s.masses, s.mass_units
+    while i < len(masses):
+        # Atoms of exact total mass below a quarter ulp of the budget leave it
+        # unchanged, one subtraction at a time (half the spacing below it is
+        # at least that): skip them with one search of the exact sums, when
+        # the next atom is one of them.
+        quarter = math.ulp(left) / 4
+        if masses[i] < quarter:
+            i = max(i, units.first_reaching((units.through(i - 1) if i else 0)
+                                            + exact_units(quarter)))
+        run = masses[i:i + size]
+        size = min(2 * size, _JUNK_BLOCK_MAX)
+        budgets = list(itertools.accumulate(run, operator.sub, initial=left))
+        # budgets[j] is the budget before atom i + j; it only falls, so the
+        # first one spent is a bisection away.  Before it, an atom outweighing
+        # its budget is looked for only when the block's heaviest atom
+        # outweighs the smallest budget.
+        spent = bisect.bisect_left(budgets, 0.0, hi=len(run), key=operator.neg)
+        if spent and max(run[:spent]) > slack * budgets[spent - 1]:
+            heavy = itertools.compress(itertools.count(), map(
+                operator.gt, run[:spent], map(slack.__mul__, budgets)))
+            j = next(heavy, None)
+            if j is not None:
+                return i + j, budgets[j]
+        if spent < len(run):
+            return i + spent, budgets[spent]
+        i, left = i + len(run), budgets[-1]
     return len(masses), left
 
 
@@ -232,9 +318,9 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     over = []
     i, avail = b, s.count_through(b) - m_budget
     while True:
-        lp = float(s.log_probs[i])
+        lp = s.log_probs[i]
         if left > 0.0 and avail > 0:
-            avail_mass = float(s.masses[i]) if avail == s.counts[i] else count_mass(avail, lp)
+            avail_mass = s.masses[i] if avail == s.counts[i] else count_mass(avail, lp)
             if avail_mass <= left * (1.0 + 1e-9):
                 # The whole remainder of the atom fits (up to rounding dust
                 # from earlier subtractions), so take it in one piece; this
@@ -248,7 +334,7 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
                     avail -= k
                     left = max(left - count_mass(k, lp), 0.0)
         if avail == s.counts[i]:
-            over.append(float(s.masses[i]))
+            over.append(s.masses[i])
         elif avail > 0:
             over.append(count_mass(avail, lp))
         i += 1
@@ -265,7 +351,13 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
             if i == len(s):
                 break
         if s.masses[i] <= left * (1.0 + 1e-9):
-            i, left = _junk_whole_run(s.masses, i, left)
+            # When the rest of the spectrum fits the budget by a margin far
+            # above the walk's rounding (under 1e-9 relative even over 5e6
+            # subtractions), the walk would junk all of it: skip to the end.
+            if s.mass_sum(i) < left * (1.0 - 1e-6):
+                i = len(s)
+                break
+            i, left = _junk_whole_run(s, i, left)
             left = max(left, 0.0)
             if left == 0.0 or i == len(s):
                 break
@@ -298,13 +390,17 @@ def optimal_threshold(s: Spectrum, eps: float, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Round-trip simulation
+# Round-trip simulation: samples are numpy arrays, so these functions import
+# numpy when called; nothing else in the package does.
 
 
-def _nearest_atoms(s: Spectrum, lp: np.ndarray) -> np.ndarray:
-    """Index of the atom nearest each log probability; one that is farther than
-    1e-9 (relative) from every atom, or -inf, matches none and is refused."""
-    descending = s.log_probs  # atoms are sorted by descending log prob
+def _nearest_atoms(s: Spectrum, lp):
+    """Index of the atom nearest each log probability (a numpy array); one that
+    is farther than 1e-9 (relative) from every atom, or -inf, matches none and
+    is refused."""
+    import numpy as np
+
+    descending = np.asarray(s.log_probs)  # atoms are sorted by descending log prob
     idx = np.searchsorted(-descending, -lp, side="left")
     idx = np.clip(idx, 0, len(descending) - 1)
     alt = np.clip(idx - 1, 0, len(descending) - 1)
@@ -315,7 +411,7 @@ def _nearest_atoms(s: Spectrum, lp: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows: np.ndarray) -> list[int]:
+def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows) -> list[int]:
     """Rank of each row inside ``atom``: signature-major, then arrangement order.
 
     A signature is a row's vector of symbol counts.  The atom is a union of
@@ -325,17 +421,21 @@ def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows: np.ndarray) -> li
     symbols before j and v < sig[j] on symbol j, level L has r_L of its total
     left for its m_L free symbols, and by the multinomial theorem those
     sequences number n! / (prod fixed k! * v! * prod r_L!) * prod m_L ** r_L.
+    ``rows`` is a numpy int array.
     """
+    import numpy as np
+
     values, mults, types = level_types(d, s.n)
     kinds = np.fromiter(itertools.chain.from_iterable(ks for ks, _ in types),
                         dtype=np.int64).reshape(-1, len(values))
     in_atom = kinds[_nearest_atoms(s, kinds @ np.log(values)) == atom].tolist()
-    level = np.where(d.probs > 0.0, np.searchsorted(values, d.probs), -1).tolist()
+    probs = np.asarray(d.probs)
+    level = np.where(probs > 0.0, np.searchsorted(values, probs), -1).tolist()
     fact = list(itertools.accumulate(range(1, s.n + 1), operator.mul, initial=1))
     ranks = []
     for row in rows.tolist():
         sig = np.bincount(row, minlength=d.alphabet_size).tolist()
-        rank, fixed, free, denom, live = 0, [0] * len(mults), mults.tolist(), 1, in_atom
+        rank, fixed, free, denom, live = 0, [0] * len(mults), list(mults), 1, in_atom
         for j, top in enumerate(sig):
             lj = level[j]
             if lj < 0:
@@ -367,15 +467,19 @@ def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows: np.ndarray) -> li
     return ranks
 
 
-def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
+def simulate_roundtrip(c: CodeSpec, d: Distribution, samples,
                        eta: float) -> tuple[float, float]:
     """Empirical (error rate, overflow rate at eta) of the code on drawn samples.
 
-    The decoded part of a partially covered atom is pinned to the first
-    sequences of the atom in signature-major order (type signature ascending,
-    then lexicographic arrangement), so two runs on the same samples always
-    agree.  Sequences are matched to atoms by their log probability.
+    ``samples`` is an integer array of shape (count, n), as ``sample_sequences``
+    draws.  The decoded part of a partially covered atom is pinned to the
+    first sequences of the atom in signature-major order (type signature
+    ascending, then lexicographic arrangement), so two runs on the same
+    samples always agree.  Sequences are matched to atoms by their log
+    probability.
     """
+    import numpy as np
+
     check_range("eta", eta, 1, math.inf)
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] != c.n:
@@ -396,7 +500,7 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples: np.ndarray,
     is_full = idx < whole
     is_none = idx >= decoded
     errors = int(np.count_nonzero(is_none))
-    overflows = int(np.count_nonzero(c.lengths[idx[is_full]] > eta))
+    overflows = int(np.count_nonzero(np.asarray(c.lengths)[idx[is_full]] > eta))
 
     split_rows = np.flatnonzero(~(is_full | is_none))
     if len(split_rows):

@@ -5,6 +5,8 @@ A spectrum here is the distribution of the normalized self-information
 granularity and stored as columns: one entry per distinct per-sequence
 probability (an atom), holding its log probability, an arbitrary precision
 integer count of sequences, and the atom's total probability mass.
+Float columns are read-only memoryviews over ``array('d')``: they index and
+slice like sequences, and ``numpy.asarray`` wraps them without a copy.
 Running sums take one exact path, built on first read: a ``RunningTotals``
 over the counts and one over the masses as integers in units of 2**-1074
 (``Spectrum.mass_units``), each keeping the total at every block edge.
@@ -20,21 +22,23 @@ probability levels hold equally many symbols, the counts of (k, r - k) and
 reuses the same integers.
 All logarithms are kept in nats internally; rates are converted to base-K
 units (K = the code alphabet size carried by the source) at the API surface.
+Only ``sample_sequences`` imports numpy, for its random generator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import cached_property, reduce
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from ._util import (ABOVE_ZERO, UNIT_BITS, RunningTotals, check_range, exact_units,
-                    unit_terms)
+from ._util import (ABOVE_ZERO, UNIT_BITS, RunningTotals, check_int, check_range, column,
+                    exact_units, float_sum_units)
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -51,26 +55,44 @@ MASS_TOL_LARGE = 1e-6
 # relative tolerance are merged into one atom.
 _MERGE_RTOL = 1e-12
 
+_LN2 = math.log(2.0)
+
+
+def _prob_list(probs: Iterable[float]) -> list[float]:
+    """The entries of a flat probability vector as floats, never empty."""
+    try:
+        p = list(probs)
+    except TypeError:
+        p = []
+    if not p or not all(isinstance(x, numbers.Real) for x in p):
+        raise ValidationError("probs: need a non-empty 1-d probability vector")
+    return [float(x) for x in p]
+
+
+def _total(p: Sequence[float]) -> float:
+    """Left-to-right float sum, the same on every Python version."""
+    return reduce(operator.add, p, 0.0)
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """A probability vector over a finite alphabet plus the code base K."""
+    """A probability vector over a finite alphabet plus the code base K.
 
-    probs: np.ndarray
+    ``probs`` is stored as a tuple of floats and ``base`` as an int >= 2.
+    """
+
+    probs: tuple[float, ...]
     base: int
 
     def __post_init__(self) -> None:
-        check_range("base", self.base, 2, math.inf)
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValidationError("probs: need a non-empty 1-d probability vector")
-        if not np.all(np.isfinite(p)):
+        object.__setattr__(self, "base", check_int("base", self.base, 2))
+        p = tuple(_prob_list(self.probs))
+        if not all(map(math.isfinite, p)):
             raise ValidationError("probs: non-finite entry")
-        if np.any(p < 0):
+        if min(p) < 0.0:
             raise ValidationError("probs: negative entry")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValidationError(f"probs: sum {float(p.sum())!r} is not 1 (normalize first)")
-        p = p.copy()
-        p.flags.writeable = False
+        if abs(_total(p) - 1.0) > 1e-12:
+            raise ValidationError(f"probs: sum {_total(p)!r} is not 1 (normalize first)")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -79,7 +101,7 @@ class Distribution:
 
     @property
     def support_size(self) -> int:
-        return int(np.count_nonzero(self.probs))
+        return sum(x > 0.0 for x in self.probs)
 
 
 def make_distribution(probs: Sequence[float], base: int = 2) -> Distribution:
@@ -88,28 +110,26 @@ def make_distribution(probs: Sequence[float], base: int = 2) -> Distribution:
     Entries may be off from a unit sum by at most 1e-9 (they are renormalized
     exactly); tiny negative dust below 1e-12 is clamped to zero.
     """
-    p = np.asarray(list(probs), dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValidationError("probs: need a non-empty 1-d probability vector")
-    if np.any(p < -1e-12):
-        raise ValidationError(f"probs: negative entry {float(p.min())!r}")
-    p = np.clip(p, 0.0, None)
-    total = float(p.sum())
+    p = _prob_list(probs)
+    if any(x < -1e-12 for x in p):
+        raise ValidationError(f"probs: negative entry {min(p)!r}")
+    p = [0.0 if x <= 0.0 else x for x in p]  # NaN stays, for the Distribution to refuse
+    total = _total(p)
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"probs: entries sum to {total!r}, off by more than 1e-9")
     if total == 0.0:
         raise ValidationError("probs: all entries are zero")
-    p = p / total
+    p = [x / total for x in p]
     # Renormalization can leave the sum one ulp away from 1; nudge the largest
     # entry so the sum is exactly 1.  A largest entry that other symbols share
     # is left alone, since moving one of them would split a probability level
     # (a uniform source into two); the sum then stays within a few ulps of 1,
     # far inside the Distribution's 1e-12 check.
-    drift = 1.0 - float(p.sum())
-    top = int(np.argmax(p))
-    if drift != 0.0 and np.count_nonzero(p == p[top]) == 1:
+    drift = 1.0 - _total(p)
+    top = p.index(max(p))
+    if drift != 0.0 and p.count(p[top]) == 1:
         p[top] += drift
-    return Distribution(probs=p, base=int(base))
+    return Distribution(probs=p, base=base)
 
 
 class SpectrumAtom(NamedTuple):
@@ -127,45 +147,49 @@ class Spectrum:
     Atom i has per-sequence log probability ``log_probs[i]`` (nats, strictly
     decreasing, equivalently strictly increasing rate), ``counts[i]``
     sequences (exact ints) and total probability ``masses[i]``, which is
-    derived from the other two.  Instances are immutable after construction
-    and safe to share; they compare and hash by identity, since array
-    columns have no single truth value.
+    derived from the other two.  ``log_probs``, ``masses`` and ``rates`` are
+    read-only float columns (``_util.column``).  Instances are immutable
+    after construction and safe to share; they compare and hash by identity.
     """
 
     n: int
     base: int
-    log_probs: np.ndarray
+    log_probs: Sequence[float]
     counts: tuple[int, ...]
-    masses: np.ndarray = field(init=False)
+    masses: Sequence[float] = field(init=False)
 
     def __post_init__(self) -> None:
-        check_range("n", self.n, 1, math.inf)
-        lps = np.array(self.log_probs, dtype=float)
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        object.__setattr__(self, "base", check_int("base", self.base, 2))
+        # The checks read a list: iterating one is faster than a column.
+        values = list(self.log_probs)
+        try:
+            lps = column("d", values)
+        except TypeError:
+            raise NumericError("log probabilities: need a flat sequence of floats") from None
         counts = tuple(self.counts)
-        if lps.ndim != 1 or len(lps) == 0:
+        if len(lps) == 0:
             raise NumericError("spectrum has no atoms")
         if len(lps) != len(counts):
             raise NumericError(f"{len(lps)} log probabilities for {len(counts)} counts")
-        if not np.all(np.isfinite(lps)):
-            raise NumericError("non-finite log probability in spectrum")
-        if np.any(np.diff(lps) >= 0.0):
+        # Strictly decreasing with finite ends means finite throughout (NaN
+        # fails every comparison); the full finiteness pass only names a failure.
+        if not (math.isfinite(lps[0]) and math.isfinite(lps[-1])
+                and all(map(operator.gt, values, itertools.islice(values, 1, None)))):
+            if not all(map(math.isfinite, lps)):
+                raise NumericError("non-finite log probability in spectrum")
             raise NumericError("atoms are not strictly decreasing in log probability")
         if min(counts) < 1:
             raise NumericError("atom with empty sequence count")
-        # Capping the exponent at 1 keeps exp from overflowing on an
-        # inconsistent count; any capped mass still fails the check below.
-        exponents = np.fromiter(map(math.log, counts), float, len(counts))
-        exponents += lps
-        np.minimum(exponents, 1.0, out=exponents)
-        masses = np.fromiter(map(math.exp, exponents.tolist()), float, len(counts))
-        heaviest = float(masses.max())
+        exponents = list(map(operator.add, map(math.log, counts), values))
+        # An exponent above 1 is an inconsistent count: refuse it before exp
+        # could overflow, naming the mass the cap at 1 would give.
+        heaviest = math.exp(min(max(exponents), 1.0))
         if heaviest > 1.0 + 1e-9:
             raise NumericError(f"atom mass {heaviest!r} outside [0, 1]")
-        lps.flags.writeable = False
-        masses.flags.writeable = False
         object.__setattr__(self, "log_probs", lps)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "masses", column("d", map(math.exp, exponents)))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -178,18 +202,32 @@ class Spectrum:
                          zip(self.log_probs.tolist(), self.counts, self.masses.tolist())))
 
     @cached_property
-    def rates(self) -> np.ndarray:
+    def rates(self) -> Sequence[float]:
         """Per-symbol rates -ln P / (n ln K), in base-K units, ascending."""
-        r = -self.log_probs / (self.n * math.log(self.base))
-        r.flags.writeable = False
-        return r
+        return column("d", map(self._rate_of, self.log_probs))
+
+    @cached_property
+    def _rate_of(self) -> Callable[[float], float]:
+        # lp / -c is (-lp) / c bit for bit: rounding is symmetric in sign.
+        return (-(self.n * math.log(self.base))).__rtruediv__
+
+    def rate(self, i: int) -> float:
+        """``rates[i]``, computed alone: searches read a few rates, not the column."""
+        return self._rate_of(self.log_probs[i])
+
+    @cached_property
+    def _running_masses(self) -> array:
+        """Left-to-right float sums of ``masses[:i]`` for i = 0, 1, ...: the
+        running masses of a loop over the atoms from the first on.  Starts
+        at [0.0]; ``tails`` extends it as far as its searches reach."""
+        return array("d", [0.0])
 
     @cached_property
     def mass_units(self) -> RunningTotals:
         """Exact running totals of ``masses`` in units of 2**-UNIT_BITS."""
-        mantissas, shifts = unit_terms(self.masses)  # the terms must not read self
-        return RunningTotals(lambda lo, hi: map(operator.lshift, mantissas[lo:hi].tolist(),
-                                                shifts[lo:hi].tolist()), len(self))
+        masses = self.masses  # the terms must not read self
+        return RunningTotals(lambda lo, hi: map(exact_units, masses[lo:hi]), len(self),
+                             lambda lo, hi: float_sum_units(masses[lo:hi].tolist()))
 
     def mass_sum(self, start: int, stop: int | None = None,
                  extra: Sequence[float] = ()) -> float:
@@ -207,20 +245,16 @@ class Spectrum:
         return total / (1 << UNIT_BITS)
 
     @cached_property
-    def prefix_mass(self) -> np.ndarray:
+    def prefix_mass(self) -> Sequence[float]:
         """Correctly rounded mass of atoms [0, i] for every i, built on first read."""
-        p = np.array([t / (1 << UNIT_BITS) for t in self.mass_units][1:])
-        p.flags.writeable = False
-        return p
+        return column("d", [t / (1 << UNIT_BITS) for t in self.mass_units][1:])
 
     @cached_property
-    def suffix_mass(self) -> np.ndarray:
+    def suffix_mass(self) -> Sequence[float]:
         """Correctly rounded mass of atoms [i, len) for every i, with one extra 0
         slot, built on first read."""
         total = self.mass_units.total
-        s = np.array([(total - t) / (1 << UNIT_BITS) for t in self.mass_units])
-        s.flags.writeable = False
-        return s
+        return column("d", [(total - t) / (1 << UNIT_BITS) for t in self.mass_units])
 
     @cached_property
     def cumulative_counts(self) -> tuple[int, ...]:
@@ -263,9 +297,27 @@ def _type_classes(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]]
     count, x, y)`` for two.  Along the last two levels a sum steps by one
     constant, so it costs one big-integer add per type.
     """
+    if len(mults) == 1:
+        return iter([((n,), int(mults[0]) ** n, *(n * w[0] for w in weights))])
+    return ((prefix + (k, len(counts) - 1 - k), *row)
+            for prefix, counts, *sums in _type_runs(n, mults, weights)
+            for k, row in enumerate(zip(counts, *sums)))
+
+
+def _type_runs(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]] = ()
+               ) -> Iterator[tuple]:
+    """The types of ``_type_classes`` in runs along the last two levels.
+
+    Yields ``(prefix, counts, *sums)``: the run's types are prefix + (k, rem
+    - k) for k = 0 .. rem, rem = len(counts) - 1, with those counts and one
+    iterator of weighted sums per row of ``weights``.  Builds read whole
+    runs, which costs far less per type than one tuple each.  One level is
+    one run of the single type (n,) with an empty prefix.
+    """
     mults = [int(m) for m in mults]
     if len(mults) == 1:
-        return iter([((n,), mults[0] ** n, *(n * w[0] for w in weights))])
+        yield ((), [mults[0] ** n], *([n * w[0]] for w in weights))
+        return
     *outer, ma, mb = mults
 
     def walk(prefix: tuple[int, ...], rem: int, head: int, accs: list[int]):
@@ -288,12 +340,11 @@ def _type_classes(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]]
             count = count * ((rem - k) * ma) // ((k + 1) * mb)
             counts.append(count)
         counts += counts[:rem - last][::-1]
-        sums = [itertools.accumulate(itertools.repeat(w[-2] - w[-1], rem), initial=a + rem * w[-1])
-                for a, w in zip(accs, weights)]
-        for k, row in enumerate(zip(counts, *sums)):
-            yield (prefix + (k, rem - k), *row)
+        yield (prefix, counts, *(itertools.accumulate(itertools.repeat(w[-2] - w[-1], rem),
+                                                      initial=a + rem * w[-1])
+                                 for a, w in zip(accs, weights)))
 
-    return walk((), n, 1, [0] * len(weights))
+    yield from walk((), n, 1, [0] * len(weights))
 
 
 def _check_ceiling(n: int, groups: int, ceiling: int) -> None:
@@ -304,7 +355,8 @@ def _check_ceiling(n: int, groups: int, ceiling: int) -> None:
 
 
 def level_types(d: Distribution, n: int, *, type_ceiling: int = DEFAULT_TYPE_CEILING
-                ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[tuple[int, ...], int]]]:
+                ) -> tuple[tuple[float, ...], tuple[int, ...],
+                           Iterator[tuple[tuple[int, ...], int]]]:
     """The level types of n draws from ``d``, the one type enumeration.
 
     Returns the distinct positive probabilities of ``d`` (ascending), the
@@ -314,40 +366,65 @@ def level_types(d: Distribution, n: int, *, type_ceiling: int = DEFAULT_TYPE_CEI
     sequence touches them.  Refuses more than ``type_ceiling`` types before
     enumerating any.
     """
-    check_range("n", n, 1, math.inf)
-    values, mults = np.unique(d.probs[d.probs > 0.0], return_counts=True)
+    n = check_int("n", n, 1)
+    levels = sorted(Counter(q for q in d.probs if q > 0.0).items())
+    values = tuple(q for q, _ in levels)
+    mults = tuple(m for _, m in levels)
     _check_ceiling(n, len(values), type_ceiling)
     return values, mults, _type_classes(n, mults)
 
 
-def _finish_spectrum(n: int, base: int, lps: np.ndarray, counts: Sequence[int],
+def _finish_spectrum(n: int, base: int, lps: list[float], counts: list[int],
                      mass_tol: float, total: int) -> Spectrum:
     """Sort candidates by log probability, merge near-equal levels, validate
     the mass and the exact sequence count against ``total``."""
-    order = np.argsort(-lps, kind="stable")
-    lps = lps[order]
-    counts = [counts[i] for i in order.tolist()]
+    def gaps():
+        return map(operator.sub, lps, itertools.islice(lps, 1, None))
+
+    if not all(map(operator.gt, lps, itertools.islice(lps, 1, None))):
+        # A stable sort: equal log probabilities keep their order.  There are
+        # two candidates or more here, so itemgetter returns tuples.
+        pick = operator.itemgetter(*sorted(range(len(lps)), key=lps.__getitem__, reverse=True))
+        lps, counts = list(pick(lps)), list(pick(counts))
     # A candidate joins the group before it when it lies within the merge
     # tolerance of the group's first log probability.  One that is not
     # within it of its neighbour is not within it of the larger first entry
-    # either, so only candidates close to their neighbour are compared again.
-    joins = np.zeros(len(lps), dtype=bool)
-    joins[1:] = np.abs(lps[:-1] - lps[1:]) <= _MERGE_RTOL * np.maximum(1.0, np.abs(lps[1:]))
-    lead = np.maximum.accumulate(np.where(joins, 0, np.arange(len(lps)))).tolist()
-    values = lps.tolist()
-    restart = 0
-    for i in np.flatnonzero(joins).tolist():
-        first = max(lead[i], restart)
-        if abs(values[first] - values[i]) > _MERGE_RTOL * max(1.0, abs(values[i])):
-            joins[i] = False
+    # either, so only candidates close to their neighbour are compared again;
+    # a gap above the tolerance at the largest |log probability| rules a
+    # candidate out at once, and all of them when it is the smallest gap.
+    # Sorted descending, so every difference below is >= 0 and needs no abs;
+    # the conditional is max(1, |x|) without two calls.
+    rtol = _MERGE_RTOL
+    widest = rtol * max(1.0, abs(lps[0]), abs(lps[-1]))
+    near = () if min(gaps(), default=math.inf) > widest else itertools.compress(
+        range(1, len(lps)), map(widest.__ge__, gaps()))
+    joined, lead, restart, prev = [], 0, 0, -1
+    for i in near:
+        x = lps[i]
+        tol = rtol * (-x if x < -1.0 else x if x > 1.0 else 1.0)
+        if lps[i - 1] - x > tol:
+            continue
+        # lead: the last candidate at or before i that is not close to its
+        # neighbour; restart: the last one that failed against its group.
+        # Against its neighbour, i was just found close.
+        if prev != i - 1:
+            lead = i - 1
+        prev = i
+        first = lead if lead > restart else restart
+        if first == i - 1 or lps[first] - x <= tol:
+            joined.append(i)
+        else:
             restart = i
-    keep = ~joins
-    group = (np.cumsum(keep) - 1).tolist()
-    merged = list(itertools.compress(counts, keep.tolist()))
-    for i in np.flatnonzero(joins).tolist():
-        merged[group[i]] += counts[i]
-    built = Spectrum(n=n, base=base, log_probs=lps[keep], counts=merged)
-    mass = math.fsum(built.masses.tolist())
+    if joined:
+        merged_lps, merged_counts, pos = [], [], 0
+        for i in joined:
+            merged_lps += lps[pos:i]
+            merged_counts += counts[pos:i]
+            merged_counts[-1] += counts[i]
+            pos = i + 1
+        lps, counts = merged_lps + lps[pos:], merged_counts + counts[pos:]
+    built = Spectrum(n=n, base=base, log_probs=lps, counts=counts)
+    mass = math.fsum(built.masses)
     if abs(mass - 1.0) > mass_tol:
         raise NumericError(f"spectrum mass {mass!r} deviates from 1 beyond {mass_tol}")
     if built.total_count != total:
@@ -359,34 +436,25 @@ def _mass_tol(n: int, alphabet_size: int) -> float:
     return MASS_TOL_LARGE if (n > 1000 and alphabet_size > 2) else MASS_TOL
 
 
-def _log_units(probs: np.ndarray, n: int) -> tuple[list[int], int, int]:
+def _log_units(probs: Sequence[float], n: int) -> tuple[list[int], float, int]:
     """Integer weights that make the log probability of a type one exact sum.
 
-    Returns ints u_j and a shift s with log(probs[j]) == u_j * 2**-s exactly,
-    log being the double ``np.log`` gives (one power-of-two denominator over
-    the ``as_integer_ratio`` of every entry).  A type's log probability
-    sum_j k_j * log(probs[j]) is then the integer sum_j k_j * u_j times
-    2**-s: ``float`` rounds that integer once, correctly, and the scaling is
-    exact.  A zero probability weighs ``floor`` = -2**b, where 2**b exceeds n
-    times every other |u_j|, so a type with a symbol on it sums to at most
-    ``floor`` and every other type to more.
+    Returns ints u_j, a power of two ``scale`` and ``floor``, with
+    log(probs[j]) == u_j * scale exactly, log being the double ``math.log``
+    gives (one power-of-two denominator over the ``as_integer_ratio`` of
+    every entry).  A type's log probability sum_j k_j * log(probs[j]) is then
+    the integer sum_j k_j * u_j times ``scale``: converting that integer to
+    a float rounds it once, correctly, and the scaling is exact.  A zero
+    probability weighs ``floor`` = -2**b, where 2**b exceeds n times every
+    other |u_j|, so a type with a symbol on it sums to at most ``floor`` and
+    every other type to more.
     """
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs).tolist()
+    logs = [math.log(q) if q > 0.0 else -math.inf for q in probs]
     ratios = {x: x.as_integer_ratio() for x in logs if x != -math.inf}
     den = max(d for _, d in ratios.values())
     units = {x: num * (den // d) for x, (num, d) in ratios.items()}
     floor = -1 << ((n * max(map(abs, units.values()))).bit_length() + 1)
-    return [units.get(x, floor) for x in logs], den.bit_length() - 1, floor
-
-
-def _unit_log_probs(sums: list[float], shift: int, floor: int) -> np.ndarray:
-    """The log probabilities of types from their rounded ``_log_units`` sums."""
-    lps = np.array(sums, dtype=float)
-    dead = lps <= float(floor)
-    np.ldexp(lps, -shift, out=lps)
-    lps[dead] = -np.inf
-    return lps
+    return [units.get(x, floor) for x in logs], 1.0 / den, floor
 
 
 def iid_spectrum(d: Distribution, n: int, *,
@@ -398,27 +466,23 @@ def iid_spectrum(d: Distribution, n: int, *,
     permutation-equal types exactly merged), computes each type's sequence
     count as an exact integer, and its mass as exp(log(count) + log P).
     Over two levels log P is k0 * log q0 + (n - k0) * log q1 in floating
-    point, one array expression; over one or three and more it is the exact
-    sum of k_j * log q_j, correctly rounded (``_log_units``).
+    point; over one or three and more it is the exact sum of k_j * log q_j,
+    correctly rounded (``_log_units``).
     """
-    values, mults, types = level_types(d, n, type_ceiling=type_ceiling)
+    n = check_int("n", n, 1)
+    values, mults, _ = level_types(d, n, type_ceiling=type_ceiling)
     if len(values) == 2:
-        counts = [count for _, count in types]
-        logq = np.log(values)
-        k0 = np.arange(n + 1)  # types (0, n), (1, n - 1), ... in lexicographic order
-        lps = k0 * float(logq[0]) + (n - k0) * float(logq[1])
-        if not np.all(np.isfinite(lps)):
-            raise NumericError("log probability overflowed")
+        # One run: types (0, n), (1, n - 1), ... in lexicographic order.
+        # int * float converts the int exactly, as a float64 array product does.
+        (_, counts), = _type_runs(n, mults)
+        l0, l1 = math.log(values[0]), math.log(values[1])
+        lps = [k * l0 + (n - k) * l1 for k in range(n + 1)]
     else:
-        units, shift, floor = _log_units(values, n)
-        # Each type vector is dropped as soon as it is read: keeping one tuple
-        # per type alive would run the cyclic garbage collector over them many
-        # times per build.
+        units, scale, _ = _log_units(values, n)
         lps, counts = [], []
-        for _, count, x in _type_classes(n, mults, [units]):
-            lps.append(float(x))
-            counts.append(count)
-        lps = _unit_log_probs(lps, shift, floor)
+        for _, run_counts, sums in _type_runs(n, mults, [units]):
+            counts += run_counts
+            lps += map(scale.__mul__, sums)  # the int rounds to a float once
     return _finish_spectrum(n, d.base, lps, counts, _mass_tol(n, d.alphabet_size),
                             d.support_size ** n)
 
@@ -450,37 +514,38 @@ def mixed_spectrum(d1: Distribution, d2: Distribution, w1: float, n: int, *,
     """
     check_range("w1", w1, ABOVE_ZERO, 1, "(0, 1)")
     _check_components(d1, d2)
-    check_range("n", n, 1, math.inf)
-    p1 = np.asarray(d1.probs)
-    p2 = np.asarray(d2.probs)
-    keep = (p1 > 0.0) | (p2 > 0.0)
-    pairs: dict[tuple[float, float], int] = {}
-    for a, b in zip(p1[keep].tolist(), p2[keep].tolist()):
-        pairs[(a, b)] = pairs.get((a, b), 0) + 1
+    n = check_int("n", n, 1)
+    pairs = Counter((a, b) for a, b in zip(d1.probs, d2.probs) if a > 0.0 or b > 0.0)
     _check_ceiling(n, len(pairs), type_ceiling)
-    units1, shift1, floor1 = _log_units(np.array([a for a, _ in pairs]), n)
-    units2, shift2, floor2 = _log_units(np.array([b for _, b in pairs]), n)
-    sums1, sums2, counts = [], [], []
-    for _, count, x1, x2 in _type_classes(n, list(pairs.values()), [units1, units2]):
-        sums1.append(float(x1))
-        sums2.append(float(x2))
-        counts.append(count)
-    lps = np.logaddexp(math.log(w1) + _unit_log_probs(sums1, shift1, floor1),
-                       math.log1p(-w1) + _unit_log_probs(sums2, shift2, floor2))
-    del sums1, sums2  # free the per-type floats before the merge
-    # Types unreachable under both components have log probability -inf.
-    reachable = lps != -math.inf
+    units1, scale1, floor1 = _log_units([a for a, _ in pairs], n)
+    units2, scale2, floor2 = _log_units([b for _, b in pairs], n)
+    lw1, lw2 = math.log(w1), math.log1p(-w1)
+    exp, log1p, dead = math.exp, math.log1p, -math.inf  # locals: the loop runs once a type
+    lps, counts = [], []
+    for _, run_counts, sums1, sums2 in _type_runs(n, list(pairs.values()), [units1, units2]):
+        for count, x1, x2 in zip(run_counts, sums1, sums2):
+            a = lw1 + x1 * scale1 if x1 > floor1 else dead
+            b = lw2 + x2 * scale2 if x2 > floor2 else dead
+            # log(e^a + e^b) by numpy's logaddexp formula, bit for bit.
+            if a > b:
+                lp = a + log1p(exp(b - a))
+            elif b > a:
+                lp = b + log1p(exp(a - b))
+            elif a == dead:
+                continue  # a type unreachable under both components
+            else:
+                lp = a + _LN2
+            lps.append(lp)
+            counts.append(count)
     # Sequences reachable under either component: |S1|^n + |S2|^n - |S1 & S2|^n.
-    both = int(np.count_nonzero((p1 > 0.0) & (p2 > 0.0)))
+    both = sum(a > 0.0 and b > 0.0 for a, b in zip(d1.probs, d2.probs))
     total = d1.support_size ** n + d2.support_size ** n - both ** n
-    return _finish_spectrum(n, d1.base, lps[reachable],
-                            list(itertools.compress(counts, reachable.tolist())),
-                            _mass_tol(n, d1.alphabet_size), total)
+    return _finish_spectrum(n, d1.base, lps, counts, _mass_tol(n, d1.alphabet_size), total)
 
 
 def ceil_log2_parity(n: int) -> int:
     """Default switching rule: 0 (first component) when ceil(log2 n) is even, else 1."""
-    check_range("n", n, 1, math.inf)
+    n = check_int("n", n, 1)
     return 0 if ((n - 1).bit_length() % 2 == 0) else 1
 
 
@@ -511,14 +576,18 @@ class SwitchingSchedule:
 def switching_spectrum(schedule: SwitchingSchedule, n: int, *,
                        type_ceiling: int = DEFAULT_TYPE_CEILING) -> Spectrum:
     """Spectrum of the component the schedule activates at block length n."""
+    n = check_int("n", n, 1)
     d = schedule.components[schedule.active_component(n)]
     return iid_spectrum(d, n, type_ceiling=type_ceiling)
 
 
-def sample_sequences(d: Distribution, n: int, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. length-n symbol sequences; shape (count, n), dtype int."""
-    check_range("n", n, 1, math.inf)
-    check_range("count", count, 1, math.inf)
-    check_range("seed", seed, 0, math.inf)
+def sample_sequences(d: Distribution, n: int, count: int, seed: int):
+    """Draw ``count`` i.i.d. length-n symbol sequences: a numpy int array of
+    shape (count, n), from numpy's default generator seeded with ``seed``."""
+    n = check_int("n", n, 1)
+    count = check_int("count", count, 1)
+    seed = check_int("seed", seed, 0)
+    import numpy as np  # only sampling needs numpy; importing the package must not
+
     rng = np.random.default_rng(seed)
     return rng.choice(d.alphabet_size, size=(count, n), p=np.asarray(d.probs))

@@ -6,13 +6,15 @@ in which case an integral number of its (interchangeable) sequences is taken.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._util import check_budgets, check_range, count_mass, doubling_runs, exact_units, split_count
+from ._util import (FIRST_RUN, check_budgets, check_range, count_mass, exact_units,
+                    split_count)
 from .errors import ValidationError
 from .sources import Spectrum
 
@@ -31,8 +33,8 @@ def _tail_start(s: Spectrum, rate: float, cmp: Comparator) -> int:
     comparison is exact: ``cmp`` only picks the side of the search.
     """
     check_range("rate", rate, -math.inf, math.inf)
-    side = "right" if cmp is Comparator.STRICT else "left"
-    return int(np.searchsorted(s.rates, rate, side=side))
+    search = bisect.bisect_right if cmp is Comparator.STRICT else bisect.bisect_left
+    return search(range(len(s)), rate, key=s.rate)
 
 
 def tail_mass(s: Spectrum, rate: float, cmp: Comparator = Comparator.STRICT) -> float:
@@ -63,22 +65,27 @@ def _count_before(s: Spectrum, i: int) -> int:
     return s.count_through(i - 1) if i else 0
 
 
-def _reach(masses: np.ndarray, start: int, goal: float) -> tuple[int, float]:
+def _reach(s: Spectrum, start: int, goal: float) -> tuple[int, float]:
     """First atom i >= start whose running mass from ``start`` reaches ``goal``,
     with the running mass before it; (len, total) when none does.
 
-    Sums in doubling runs, each with the running total carried in front, so
-    every running sum equals a left-to-right loop's and the search stops a
-    run past the answer instead of at the end of the spectrum.
+    Running masses are left-to-right float sums, as a loop computes them:
+    ``running[j]`` is the sum of ``masses[start:start + j]``.  They are
+    summed in runs of FIRST_RUN, 2 * FIRST_RUN, 4 * FIRST_RUN, ... atoms, so
+    the search stops a run past the answer instead of at the end of the
+    spectrum.  From the first atom they are kept on the spectrum and only
+    extended, so a later search is one bisection (masses are >= 0, so they
+    ascend).
     """
-    cum = 0.0
-    for lo, hi in doubling_runs(start, len(masses)):
-        running = np.cumsum(np.concatenate(([cum], masses[lo:hi])))
-        j = int(np.searchsorted(running[1:], goal, side="left"))
-        if j < hi - lo:
-            return lo + j, float(running[j])
-        cum = float(running[-1])
-    return len(masses), cum
+    running = s._running_masses if start == 0 else array("d", [0.0])
+    while running[-1] < goal and start + len(running) <= len(s):
+        lo = start + len(running) - 1
+        hi = min(len(s), lo + len(running) - 1 + FIRST_RUN)
+        # A slice assignment, so a search repeated at once writes the same.
+        running[lo - start + 1:] = array("d", itertools.islice(
+            itertools.accumulate(s.masses[lo:hi], initial=running[-1]), 1, None))
+    j = bisect.bisect_left(running, goal, 1) - 1
+    return start + j, running[j]
 
 
 def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
@@ -92,11 +99,11 @@ def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
         return PrefixSelection(full_atoms=start, boundary_taken=0, mass=0.0, num_sequences=0)
     # The first atom at which the running mass reaches the target, less a
     # 1e-12 allowance.
-    i, cum = _reach(s.masses, start, target - 1e-12)
+    i, cum = _reach(s, start, target - 1e-12)
     seqs = _count_before(s, i) - _count_before(s, start)
     if i == len(s):
         return PrefixSelection(i, 0, cum, seqs)
-    lp, count, mass = float(s.log_probs[i]), s.counts[i], float(s.masses[i])
+    lp, count, mass = s.log_probs[i], s.counts[i], s.masses[i]
     # Log-domain split: at large n a single sequence's probability underflows
     # a double even while the atom's mass is of order one.  cum < target, so
     # the log is defined.
@@ -121,7 +128,7 @@ def selection_log_mass(s: Spectrum, sel: PrefixSelection) -> float:
     b = sel.full_atoms
     logs = [math.log(count) + lp for count, lp in zip(s.counts[:b], s.log_probs[:b].tolist())]
     if sel.boundary_taken > 0:
-        logs.append(math.log(sel.boundary_taken) + float(s.log_probs[b]))
+        logs.append(math.log(sel.boundary_taken) + s.log_probs[b])
     if not logs:
         raise ValidationError("selection is empty; it has no log mass")
     top = max(logs)
@@ -134,7 +141,7 @@ def selection_mass_from(s: Spectrum, sel: PrefixSelection, first: int) -> float:
     b = sel.full_atoms
     boundary = ()
     if first <= b < len(s):
-        boundary = (count_mass(sel.boundary_taken, float(s.log_probs[b])),)
+        boundary = (count_mass(sel.boundary_taken, s.log_probs[b]),)
     return s.mass_sum(min(first, b), b, extra=boundary)
 
 
@@ -202,7 +209,7 @@ def finite_n_first_order(s: Spectrum, eps: float, delta: float) -> float:
     # The mass after atom j is total - through(j); the last atom always qualifies.
     units = s.mass_units
     j = units.first_reaching(units.total - exact_units(eps + delta))
-    return float(s.rates[j])
+    return s.rate(j)
 
 
 def finite_n_second_order(s: Spectrum, eps: float, delta: float, rate: float) -> float:

@@ -31,7 +31,7 @@ from overflowlab import (
     validate_counting_condition,
     varentropy,
 )
-from overflowlab._util import FIRST_RUN, count_mass, split_count
+from overflowlab._util import count_mass, split_count
 
 GRID = orc.grid_distributions()
 BINARY = [g for g in GRID if len(g) == 2]
@@ -232,7 +232,7 @@ def test_counting_equals_per_length_budgets_on_built_codes(probs, n, base, eps, 
     # through the split boundary atom too.
     c = construct_code(iid_spectrum(make_distribution(list(probs), base=base), n), eps)
     c = CodeSpec(spectrum=c.spectrum, selection=c.selection,
-                 lengths=np.maximum(c.lengths - shorten, 1), error_mass=c.error_mass)
+                 lengths=np.maximum(np.asarray(c.lengths) - shorten, 1), error_mass=c.error_mass)
     want = _counting_loop(c)
     assert validate_counting_condition(c).first_violation == want
 
@@ -251,8 +251,8 @@ def test_codespec_rejects_malformed_lengths():
 def test_codespec_columns_and_view():
     s = spectrum_of((0.3, 0.7), 6)
     c = construct_code(s, 0.2)
-    assert not c.lengths.flags.writeable
-    assert np.all(np.diff(c.lengths) >= 0)
+    assert c.lengths.readonly
+    assert np.all(np.diff(np.asarray(c.lengths)) >= 0)
     assert (c.n, c.base, c.decode_set_mass) == (s.n, s.base, c.selection.mass)
     assert c.assignments is c.assignments
     assert all(type(v) is int for a in c.assignments for v in (a.atom, a.count, a.length))
@@ -294,7 +294,7 @@ def test_code_overflow_matches_enumeration(probs, n, eps):
 def _overflow_loop(c, eta):
     """Reference: the per-assignment sum the one-searchsorted version replaced."""
     long = [a for a in c.assignments if a.length > eta]
-    lps = c.spectrum.log_probs[[a.atom for a in long]].tolist()
+    lps = np.asarray(c.spectrum.log_probs)[[a.atom for a in long]].tolist()
     over = [count_mass(a.count, lp) for a, lp in zip(long, lps)]
     return math.fsum(over)
 
@@ -457,9 +457,10 @@ def _exact_fit_budgets(s, eta, depths=range(40)):
     return [sums[d] for d in depths if d < len(sums) and 0.0 < sums[d] < 1.0]
 
 
-# Walks that end on, before and after the edge of each run the junk walk
-# tests in one pass (runs of r, 2r, 4r atoms).
-_RUN_EDGES = [d + e for d in (FIRST_RUN, 3 * FIRST_RUN, 7 * FIRST_RUN) for e in (-1, 0, 1)]
+# Walks that end on, before and after the edges of the junk walk's blocks
+# (B, 2B, 4B, ... atoms, B = codes._JUNK_BLOCK).
+_B = codes_module._JUNK_BLOCK
+_RUN_EDGES = [d + e for d in (_B, 3 * _B, 7 * _B, 15 * _B) for e in (-1, 0, 1)]
 
 
 EDGE_EPS = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 0.999, 1 - 1e-12]
@@ -675,7 +676,7 @@ def _simulate_loop(c, d, samples, eta):
     with np.errstate(divide="ignore"):
         lnp = np.log(np.asarray(d.probs))
     lp = lnp[samples].sum(axis=1)
-    descending = s.log_probs
+    descending = np.asarray(s.log_probs)
     idx = np.searchsorted(-descending, -lp, side="left")
     idx = np.clip(idx, 0, len(descending) - 1)
     alt = np.clip(idx - 1, 0, len(descending) - 1)
@@ -702,7 +703,7 @@ def _simulate_loop(c, d, samples, eta):
         atom = int(idx[r])
         groups = group_cache.get(atom)
         if groups is None:
-            groups = orc.atom_type_groups(s.log_probs.tolist(), d.probs.tolist(), s.n, atom)
+            groups = orc.atom_type_groups(s.log_probs.tolist(), list(d.probs), s.n, atom)
             group_cache[atom] = groups
         if orc.rank_within_atom(samples[r].tolist(), groups) < assigned[atom]:
             if length_over[atom]:
@@ -753,11 +754,11 @@ def test_atom_ranks_equal_sorted_enumeration(probs, n):
     import itertools
     d = make_distribution(list(probs))
     s = iid_spectrum(d, n)
-    lnp = np.log(np.where(d.probs > 0.0, d.probs, 1.0))
+    lnp = np.log(np.where(np.asarray(d.probs) > 0.0, d.probs, 1.0))
     seqs = [q for q in itertools.product(range(len(probs)), repeat=n)
             if all(probs[sym] > 0.0 for sym in q)]
     lps = np.array([math.fsum(lnp[list(q)]) for q in seqs])
-    atom_of = np.abs(s.log_probs[None, :] - lps[:, None]).argmin(axis=1)
+    atom_of = np.abs(np.asarray(s.log_probs)[None, :] - lps[:, None]).argmin(axis=1)
     for atom in range(len(s)):
         members = sorted((tuple(q.count(sym) for sym in range(len(probs))), q)
                          for q, a in zip(seqs, atom_of.tolist()) if a == atom)

@@ -21,21 +21,24 @@ from overflowlab import (
     ValidationError,
     ceil_log2_parity,
     construct_code,
+    convergence_study,
     finite_n_first_order,
     iid_spectrum,
     make_distribution,
     mixed_spectrum,
     optimal_threshold,
     optimal_tradeoff,
+    optimistic_study,
     restricted_tail_inf,
     sample_sequences,
     smooth_max_entropy,
+    string_budget,
     switching_spectrum,
     tail_mass,
     validate_counting_condition,
 )
 from overflowlab import sources
-from overflowlab._util import RunningTotals, unit_terms, exact_units
+from overflowlab._util import RunningTotals, exact_units, float_sum_units
 
 
 GRID = orc.grid_distributions()
@@ -82,6 +85,13 @@ def test_make_distribution_rejects(bad, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("probs", [np.array([[0.5], [0.5]]), [[0.5, 0.5]], ["0.5", "0.5"], 0.5])
+def test_probs_must_be_a_flat_vector_of_numbers(probs):
+    for build in (make_distribution, lambda p: Distribution(p, 2)):
+        with pytest.raises(ValidationError, match="non-empty 1-d probability vector"):
+            build(probs)
+
+
 def test_distribution_rejects_unnormalized_probs():
     with pytest.raises(ValidationError) as info:
         Distribution(np.array([0.5, 0.6]), 2)
@@ -93,9 +103,60 @@ def test_make_distribution_rejects_bad_base():
         make_distribution([0.5, 0.5], base=1)
 
 
+_D = make_distribution([0.3, 0.7])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Distribution([0.3, 0.7], base=2.0),
+    lambda: Distribution([0.3, 0.7], base=2.5),
+    lambda: Distribution([0.3, 0.7], base=True),
+    lambda: make_distribution([0.3, 0.7], base=2.5),
+    lambda: make_distribution([0.3, 0.7], base=math.inf),
+    lambda: iid_spectrum(_D, 2.5),
+    lambda: iid_spectrum(_D, True),
+    lambda: iid_spectrum(_D, 0),
+    lambda: mixed_spectrum(_D, make_distribution([0.6, 0.4]), 0.5, 2.5),
+    lambda: switching_spectrum(SwitchingSchedule((_D, make_distribution([0.6, 0.4]))), 2.5),
+    lambda: ceil_log2_parity(2.5),
+    lambda: sample_sequences(_D, 3, 2.5, 1),
+    lambda: sample_sequences(_D, 2.5, 3, 1),
+    lambda: sample_sequences(_D, 3, 3, 2.5),
+    lambda: sample_sequences(_D, 3, 3, -1),
+    lambda: convergence_study(_D, 0.1, 0.1, [8, 16.5]),
+    lambda: convergence_study(_D, 0.1, 0.1, [8, True]),
+    lambda: convergence_study(_D, 0.1, 0.1, []),
+    lambda: optimistic_study(SwitchingSchedule((_D, make_distribution([0.6, 0.4]))),
+                             0.1, 0.1, [8, 16.5]),
+    lambda: string_budget(2, 2.5),
+    lambda: string_budget(2.5, 3),
+    lambda: string_budget(2, 3.0),
+    lambda: string_budget(1, 3),
+    lambda: Spectrum(n=True, base=2, log_probs=[0.0], counts=[1]),
+], ids=["dist-base-2.0", "dist-base-2.5", "dist-base-bool", "make-base-2.5", "make-base-inf",
+        "iid-n-2.5", "iid-n-bool", "iid-n-0", "mixture-n-2.5", "switching-n-2.5",
+        "parity-n-2.5", "sample-count-2.5", "sample-n-2.5", "sample-seed-2.5",
+        "sample-seed-negative", "converge-grid-16.5", "converge-grid-bool", "converge-grid-empty",
+        "optimistic-grid-16.5", "budget-eta-2.5", "budget-base-2.5", "budget-eta-3.0",
+        "budget-base-1", "spectrum-n-bool"])
+def test_integer_parameters_get_a_named_error(call):
+    # Blocklengths, bases, sample counts, seeds, grid entries and string
+    # budget arguments are integers: a float (even 2.0) or a bool is a
+    # ValidationError, which the CLI turns into exit code 2, never a
+    # TypeError, OverflowError or a silently truncated value.
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_integer_parameters_accept_numpy_ints():
+    s = iid_spectrum(make_distribution([0.3, 0.7], base=np.int64(3)), np.int64(5))
+    assert (type(s.n), type(s.base), s.n, s.base) == (int, int, 5, 3)
+    assert string_budget(np.int64(2), np.int32(3)) == 14
+    assert sample_sequences(_D, np.int64(3), np.int64(2), np.uint8(1)).shape == (2, 3)
+
+
 def test_distribution_probs_are_frozen():
     d = make_distribution([0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         d.probs[0] = 0.9
 
 
@@ -164,7 +225,7 @@ def test_uniform_source_is_one_level(k):
     # Renormalizing [1/k] * k leaves a sum an ulp off 1; moving one entry to
     # fix it would split the uniform source into two probability levels.
     values, mults, types = sources.level_types(make_distribution([1 / k] * k), 30)
-    assert mults.tolist() == [k]
+    assert mults == (k,)
     assert [count for _, count in types] == [k ** 30]
 
 
@@ -268,13 +329,14 @@ def _block_edges(size):
                    for i in (j - 1, j, j + 1) if 0 <= i < size})
 
 
-def test_unit_terms_equal_exact_units():
-    values = np.array([*_SPECIAL.masses.tolist(), 5e-324, 2.2250738585072014e-308,
-                       1.5e-310, 0.1, 0.3, 1.7976931348623157e308])
-    mantissas, shifts = unit_terms(values)
-    assert mantissas.dtype == shifts.dtype == np.int64
-    assert [m << s for m, s in zip(mantissas.tolist(), shifts.tolist())] == \
-        [exact_units(v) for v in values.tolist()]
+def test_exact_units_and_float_sum_units_are_exact():
+    values = [*_SPECIAL.masses.tolist(), 5e-324, 2.2250738585072014e-308,
+              1.5e-310, 0.1, 0.3, 1e-300, 1.7976931348623157e308]
+    assert [exact_units(v) for v in values] == [Fraction(v) * 2 ** 1074 for v in values]
+    for lo in range(len(values)):
+        for hi in range(lo, len(values) + 1):
+            part = values[lo:hi]
+            assert float_sum_units(list(part)) == sum(map(exact_units, part))
 
 
 def test_mass_units_are_exact_at_block_edges():
@@ -374,16 +436,18 @@ def test_mixture_total_count_is_reachable_sequences(p1, p2):
 def test_build_checks_the_exact_total_count(build, monkeypatch):
     # One sequence too many in the first type class (all n symbols on the
     # last level, reachable here) moves the mass by under 1e-12, far inside
-    # the mass tolerance: only the exact total count can catch it.
-    real = sources._type_classes
+    # the mass tolerance: only the exact total count can catch it.  Builds
+    # read the types in runs along the last two levels; the first type
+    # heads the first run.
+    real = sources._type_runs
 
     def one_too_many(*args):
-        types = list(real(*args))
-        ks, count, *sums = types[0]
-        types[0] = (ks, count + 1, *sums)
-        return iter(types)
+        runs = list(real(*args))
+        prefix, counts, *sums = runs[0]
+        runs[0] = (prefix, [counts[0] + 1, *counts[1:]], *sums)
+        return iter(runs)
 
-    monkeypatch.setattr(sources, "_type_classes", one_too_many)
+    monkeypatch.setattr(sources, "_type_runs", one_too_many)
     with pytest.raises(NumericError, match="type counts"):
         build()
 
@@ -486,9 +550,9 @@ def test_binary_log_probs_equal_scalar_expression(p, n):
 
 def _exact_log_probs(types, probs):
     """float(sum_j k_j * log q_j) for each ks in ``types``, with the sum exact:
-    the doubles np.log gives, summed as Fractions, or -inf where a k_j > 0
+    the doubles math.log gives, summed as Fractions, or -inf where a k_j > 0
     has q_j = 0."""
-    logs = [Fraction(float(np.log(q))) if q > 0.0 else None for q in probs]
+    logs = [Fraction(math.log(q)) if q > 0.0 else None for q in probs]
     return [-math.inf if any(k and x is None for k, x in zip(ks, logs))
             else float(sum(k * x for k, x in zip(ks, logs) if k)) for ks in types]
 
@@ -532,9 +596,9 @@ def test_iid_log_probs_are_correctly_rounded_exact_sums(probs, n):
     if len(values) == 2:
         return  # the binary rule, tested against its scalar expression
     lps, counts, _ = _candidates(lambda: iid_spectrum(d, n))
-    want = _reference_types(n, mults.tolist())
+    want = _reference_types(n, list(mults))
     assert counts == [c for _, c in want]
-    assert lps == _exact_log_probs([ks for ks, _ in want], values.tolist())
+    assert lps == _exact_log_probs([ks for ks, _ in want], values)
 
 
 def test_uniform_log_prob_is_the_rounded_product():
@@ -542,7 +606,7 @@ def test_uniform_log_prob_is_the_rounded_product():
     for k, n in ((3, 50), (6, 31), (7, 1000)):
         d = make_distribution([1 / k] * k)
         s = iid_spectrum(d, n)
-        q = float(np.log(d.probs[0]))
+        q = math.log(d.probs[0])
         assert s.log_probs.tolist() == [n * q] == _exact_log_probs([(n,)], [d.probs[0]])
 
 
@@ -561,7 +625,7 @@ def test_mixture_components_are_correctly_rounded_exact_sums(rows, w1, n):
     d1, d2 = make_distribution(p1), make_distribution(p2)
     lps, counts, s = _candidates(lambda: mixed_spectrum(d1, d2, w1, n))
     pairs = {}
-    for a, b in zip(d1.probs.tolist(), d2.probs.tolist()):
+    for a, b in zip(d1.probs, d2.probs):
         if a > 0.0 or b > 0.0:
             pairs[(a, b)] = pairs.get((a, b), 0) + 1
     types = _reference_types(n, list(pairs.values()))
@@ -576,25 +640,26 @@ def test_mixture_components_are_correctly_rounded_exact_sums(rows, w1, n):
             want_counts.append(count)
     assert lps == want_lps
     assert counts == want_counts
-    s1, s2 = (sum(x > 0.0 for x in d.probs.tolist()) for d in (d1, d2))
-    both = sum(a > 0.0 and b > 0.0 for a, b in zip(d1.probs.tolist(), d2.probs.tolist()))
+    s1, s2 = (sum(x > 0.0 for x in d.probs) for d in (d1, d2))
+    both = sum(a > 0.0 and b > 0.0 for a, b in zip(d1.probs, d2.probs))
     assert s.total_count == s1 ** n + s2 ** n - both ** n
 
 
 def test_log_units_weigh_zero_probabilities_below_every_live_sum():
     n = 50
-    probs = np.array([0.0, 1e-300, 0.5, 0.0, 1 - 1e-16])
-    units, shift, floor = sources._log_units(probs, n)
-    for j, q in enumerate(probs.tolist()):
+    probs = [0.0, 1e-300, 0.5, 0.0, 1 - 1e-16]
+    units, scale, floor = sources._log_units(probs, n)
+    assert Fraction(scale).numerator == 1 and Fraction(scale).denominator.bit_count() == 1
+    for j, q in enumerate(probs):
         if q > 0.0:
-            assert Fraction(units[j], 1 << shift) == Fraction(float(np.log(q)))
+            assert units[j] * Fraction(scale) == Fraction(math.log(q))
         else:
             assert units[j] == floor
     assert n * min(u for u in units if u != floor) > floor
-    # The lightest live type sums above the floor, the heaviest dead one at it.
-    got = sources._unit_log_probs([float(n * units[1]), float(floor), float(floor + units[4])],
-                                  shift, floor)
-    assert got.tolist() == [*_exact_log_probs([(0, n)], [0.0, 1e-300]), -math.inf, -math.inf]
+    # The lightest live type sums above the floor, the heaviest dead one at it;
+    # a live sum times the scale is its correctly rounded log probability.
+    assert n * units[1] > floor >= floor + units[4]
+    assert [n * units[1] * scale] == _exact_log_probs([(0, n)], [0.0, 1e-300])
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 30),
