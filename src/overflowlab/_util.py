@@ -125,6 +125,16 @@ def count_mass(k: int, lp: float) -> float:
 FIRST_RUN = 256
 
 
+def doubling_runs(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) covering [start, stop), of FIRST_RUN,
+    2 * FIRST_RUN, 4 * FIRST_RUN, ... items (the last one cut at ``stop``)."""
+    size = FIRST_RUN
+    while start < stop:
+        yield start, min(start + size, stop)
+        start += size
+        size *= 2
+
+
 # Every finite double is an integer multiple of 2**-1074, the least subnormal,
 # so a sum of doubles is exact as an integer count of that unit.
 UNIT_BITS = 1074
@@ -136,39 +146,38 @@ def exact_units(x: float) -> int:
     return num << (UNIT_BITS + 1 - den.bit_length())
 
 
-def float_sum_units(values: list[float]) -> int:
-    """Exact sum of finite doubles as an integer multiple of 2**-UNIT_BITS.
+_MANTISSA = (1 << 52) - 1
+_HIDDEN = 1 << 52
 
-    ``math.fsum`` rounds the sum correctly; appending that rounded sum,
-    negated, leaves the exact remainder for the next fsum to round, and the
-    remainder is zero after a few rounds (each one shrinks it by 2**-52 or
-    more).  The list is extended in place.
+
+def column_units(values: memoryview) -> list[int]:
+    """``exact_units`` of every entry of a float column slice, all >= 0, read
+    from their IEEE bit patterns in one pass.
+
+    A normal double of biased exponent e >= 1 is its 53-bit significand times
+    2**(e - 1075), so it is that significand << (e - 1) units; a subnormal's
+    bit pattern is already its count of units.
     """
-    total = 0
-    while (r := math.fsum(values)) != 0.0:
-        total += exact_units(r)
-        values.append(-r)
-    return total
+    return [(b & _MANTISSA | _HIDDEN) << (b >> 52) - 1 if b >= _HIDDEN else b
+            for b in values.cast("B").cast("Q")]
 
 
 class RunningTotals:
     """Exact running totals of a sequence of ints, kept at the end of every
     ``BLOCK``-item block; a block's running totals are rebuilt on first touch.
 
-    ``terms(lo, hi)`` yields items lo .. hi - 1 (hi may pass the end), and
-    ``block_total(lo, hi)``, when given, returns their sum by a faster route.
-    Neither may refer to the object holding this instance: that cycle would
-    keep the holder alive until the cyclic garbage collector runs.
+    ``terms(lo, hi)`` yields items lo .. hi - 1 (hi may pass the end).  It must
+    not refer to the object holding this instance: that cycle would keep the
+    holder alive until the cyclic garbage collector runs.
     """
 
     BLOCK = 32
 
-    def __init__(self, terms: Callable[[int, int], Iterable[int]], size: int,
-                 block_total: Callable[[int, int], int] | None = None) -> None:
+    def __init__(self, terms: Callable[[int, int], Iterable[int]], size: int) -> None:
         self._terms = terms
         self._size = size
-        block_total = block_total or (lambda lo, hi: sum(terms(lo, hi)))
-        sums = (block_total(lo, lo + self.BLOCK) for lo in range(0, size, self.BLOCK))
+        sums = map(self._block_total, range(0, size, self.BLOCK),
+                   range(self.BLOCK, size + self.BLOCK, self.BLOCK))
         # _edges[j] is the total of items [0, j * BLOCK); the last one is the total.
         self._edges = tuple(itertools.accumulate(sums, initial=0))
         self._blocks: dict[int, tuple[int, ...]] = {}
@@ -176,7 +185,13 @@ class RunningTotals:
 
     def __iter__(self) -> Iterator[int]:
         """The total of items [0, i) for i = 0 .. size, in one pass."""
-        return itertools.accumulate(self._terms(0, self._size), initial=0)
+        blocks = map(self._terms, range(0, self._size, self.BLOCK),
+                     range(self.BLOCK, self._size + self.BLOCK, self.BLOCK))
+        return itertools.accumulate(itertools.chain.from_iterable(blocks), initial=0)
+
+    def _block_total(self, lo: int, hi: int) -> int:
+        """Total of items lo .. hi - 1; a subclass may sum them by a faster route."""
+        return sum(self._terms(lo, hi))
 
     def _block(self, j: int) -> tuple[int, ...]:
         run = self._blocks.get(j)
@@ -199,3 +214,36 @@ class RunningTotals:
         if j == len(self._edges) - 1:
             return self._size
         return j * self.BLOCK + bisect.bisect_left(self._block(j), total)
+
+
+class FloatTotals(RunningTotals):
+    """Exact running totals of a float column, all entries finite and >= 0, in
+    units of 2**-UNIT_BITS (items from ``column_units``).
+
+    A block total comes from ``math.fsum`` rounds while blocks are narrow:
+    fsum rounds the sum correctly, and appending that rounded sum, negated,
+    leaves the exact remainder for the next round.  Each round covers 53 more
+    bits of the sum, so a block whose values span hundreds of binades (as
+    ternary and mixture spectra have) needs many; once one needs more than
+    FSUM_ROUNDS, it and every later block are summed from bit patterns, which
+    cost the same at any span.
+    """
+
+    FSUM_ROUNDS = 2
+
+    def __init__(self, values: memoryview) -> None:
+        self._values = values
+        self._narrow = True
+        super().__init__(lambda lo, hi: column_units(values[lo:hi]), len(values))
+
+    def _block_total(self, lo: int, hi: int) -> int:
+        if self._narrow:
+            values, total = self._values[lo:hi].tolist(), 0
+            for _ in range(self.FSUM_ROUNDS + 1):
+                if (r := math.fsum(values)) == 0.0:
+                    return total
+                total += exact_units(r)
+                values.append(-r)
+            self._narrow = False
+        return sum(self._terms(lo, hi))
+

@@ -10,9 +10,8 @@ an error regardless of what the decoder outputs).
 A ``CodeSpec`` is columns over its spectrum: the decode selection and one
 read-only int64 column of codeword lengths (``_util.column``), one per decoded
 atom.  Every query reads those; ``CodeSpec.assignments`` is a per-atom view
-for outside readers.  The canonical code builds its column on first read:
-until then overflow searches compute the few lengths they probe.  Only the
-round-trip simulation imports numpy, inside its functions.
+for outside readers.  Only the round-trip simulation imports numpy, inside
+its functions.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._util import (SPLIT_GUARD, check_budgets, check_int, check_range, column, count_mass,
-                    exact_units, split_count)
+                    doubling_runs, exact_units, split_count)
 from .errors import ValidationError
 from .sources import Distribution, Spectrum, level_types
 from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
@@ -48,46 +47,6 @@ class Assignment:
     length: int
 
 
-class _CanonicalLengths(NamedTuple):
-    """The canonical code's length rule: decoded atom i, of log probability
-    ``log_probs[i]``, gets ceil(-log_K(P(x) / P(A))) floored at 1, by the
-    same IEEE operations as guarded_ceil."""
-
-    log_probs: Sequence[float]  # of the decoded atoms
-    ln_mass: float              # ln P(A)
-    ln_base: float
-
-    def __call__(self, i: int) -> int:
-        return max(math.ceil((self.ln_mass - self.log_probs[i]) / self.ln_base - SPLIT_GUARD), 1)
-
-    def column(self) -> Sequence[int]:
-        ln_mass, ln_base = self.ln_mass, self.ln_base
-        lengths = [math.ceil((ln_mass - lp) / ln_base - SPLIT_GUARD)
-                   for lp in self.log_probs.tolist()]
-        # Lengths never decrease, so the ones the floor at 1 raises are a prefix.
-        short = bisect.bisect_left(lengths, 1)
-        lengths[:short] = [1] * short
-        return column("q", lengths)
-
-
-class _Lengths:
-    """``CodeSpec.lengths``, a data descriptor over ``_lengths`` in the
-    instance dict.  A code built by ``construct_code`` holds its length rule
-    there until the column is first read; searches ask the rule for the few
-    lengths they probe, so a code that is only queried builds no column."""
-
-    def __get__(self, code, owner=None):
-        if code is None:
-            raise AttributeError("lengths")  # so the dataclass field has no default
-        lengths = code.__dict__["_lengths"]
-        if isinstance(lengths, _CanonicalLengths):
-            lengths = code.__dict__["_lengths"] = lengths.column()
-        return lengths
-
-    def __set__(self, code, lengths) -> None:
-        code.__dict__["_lengths"] = lengths
-
-
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
     """A deterministic code at type granularity, compared by identity.
@@ -101,31 +60,23 @@ class CodeSpec:
 
     spectrum: Spectrum
     selection: PrefixSelection
-    lengths: Sequence[int] = _Lengths()
+    lengths: Sequence[int]
     error_mass: float
 
     def __post_init__(self) -> None:
-        lengths = self.__dict__["_lengths"]
+        values = list(self.lengths)
         decoded = self.selection.full_atoms + (self.selection.boundary_taken > 0)
-        if isinstance(lengths, _CanonicalLengths):
-            ok = len(lengths.log_probs) == decoded  # non-decreasing by construction
-        else:
-            values = list(lengths)
-            try:
-                lengths = column("q", values)
-            except (TypeError, OverflowError):
-                lengths = values = None
-            ok = values is not None and len(values) == decoded and values == sorted(values)
-        if not ok or decoded == 0:
+        try:
+            lengths = column("q", values)
+        except (TypeError, OverflowError):
+            lengths = None
+        if lengths is None or decoded == 0 or len(values) != decoded or values != sorted(values):
             raise ValidationError("lengths: need one per decoded atom (>= 1), non-decreasing")
-        self.__dict__["_lengths"] = lengths
+        object.__setattr__(self, "lengths", lengths)
 
-    def _first_longer(self, eta: float) -> int:
-        """Index of the first decoded atom whose codeword is longer than ``eta``."""
-        lengths = self.__dict__["_lengths"]
-        if isinstance(lengths, _CanonicalLengths):
-            return bisect.bisect_right(range(len(lengths.log_probs)), eta, key=lengths)
-        return bisect.bisect_right(lengths, eta)
+    def __reduce__(self):
+        # The lengths column is a memoryview, which neither pickles nor deepcopies.
+        return CodeSpec, (self.spectrum, self.selection, self.lengths.tolist(), self.error_mass)
 
     n = property(lambda self: self.spectrum.n)
     base = property(lambda self: self.spectrum.base)
@@ -173,9 +124,14 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     check_range("eps", eps, 0, 1)
     sel = _decode_selection(s, eps)
     b = sel.full_atoms
-    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0.
-    lengths = _CanonicalLengths(s.log_probs[:b + (sel.boundary_taken > 0)],
-                                selection_log_mass(s, sel), math.log(s.base))
+    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0;
+    # the same IEEE operations as guarded_ceil, one per decoded atom.
+    ln_mass, ln_base, ceil = selection_log_mass(s, sel), math.log(s.base), math.ceil
+    lengths = [ceil((ln_mass - lp) / ln_base - SPLIT_GUARD)
+               for lp in s.log_probs[:b + (sel.boundary_taken > 0)].tolist()]
+    # Lengths never decrease, so the ones the floor at 1 raises are a prefix.
+    short = bisect.bisect_left(lengths, 1)
+    lengths[:short] = [1] * short
     err = 0.0
     if b < len(s):
         rest = count_mass(s.counts[b] - sel.boundary_taken, s.log_probs[b])
@@ -191,7 +147,7 @@ def code_overflow(c: CodeSpec, eta: float) -> float:
     which never overflows for eta >= 1.
     """
     check_range("eta", eta, 1, math.inf)
-    first = c._first_longer(eta)
+    first = bisect.bisect_right(c.lengths, eta)
     return selection_mass_from(c.spectrum, c.selection, first)
 
 
@@ -243,49 +199,27 @@ class TradeoffPoint:
     budget: int  # number of decodable strings, sum_{i<=floor(eta)} K^i
 
 
-# Atoms in the first block of the walk that junks whole atoms; each further
-# block doubles, up to _JUNK_BLOCK_MAX, so a short walk sums few atoms past
-# its end and a long one pays the per-block cost rarely.
-_JUNK_BLOCK = 64
-_JUNK_BLOCK_MAX = 4096
-
-
 def _junk_whole_run(s: Spectrum, i: int, left: float) -> tuple[int, float]:
     """Junk whole atoms from ``i`` on while each still fits the budget ``left``.
 
     Returns the first atom not junked and the budget left before it, which is
-    <= 0 when the budget ran out.  The running budgets are subtracted in
-    order, so each equals the one an atom-by-atom loop computes.
+    <= 0 when the budget ran out.  itertools.accumulate subtracts in order,
+    so every running budget equals the one an atom-by-atom loop computes.
     """
-    slack, size = 1.0 + 1e-9, _JUNK_BLOCK
-    masses, units = s.masses, s.mass_units
-    while i < len(masses):
-        # Atoms of exact total mass below a quarter ulp of the budget leave it
-        # unchanged, one subtraction at a time (half the spacing below it is
-        # at least that): skip them with one search of the exact sums, when
-        # the next atom is one of them.
-        quarter = math.ulp(left) / 4
-        if masses[i] < quarter:
-            i = max(i, units.first_reaching((units.through(i - 1) if i else 0)
-                                            + exact_units(quarter)))
-        run = masses[i:i + size]
-        size = min(2 * size, _JUNK_BLOCK_MAX)
+    # Atoms of total mass below a quarter ulp of the budget leave it
+    # unchanged, one subtraction at a time (half the spacing below it is at
+    # least that), and each fits: skip them with one search of the exact sums.
+    units = s.mass_units
+    i = max(i, units.first_reaching((units.through(i - 1) if i else 0)
+                                    + exact_units(math.ulp(left) / 4)))
+    for lo, hi in doubling_runs(i, len(s)):
+        run = s.masses[lo:hi].tolist()
         budgets = list(itertools.accumulate(run, operator.sub, initial=left))
-        # budgets[j] is the budget before atom i + j; it only falls, so the
-        # first one spent is a bisection away.  Before it, an atom outweighing
-        # its budget is looked for only when the block's heaviest atom
-        # outweighs the smallest budget.
-        spent = bisect.bisect_left(budgets, 0.0, hi=len(run), key=operator.neg)
-        if spent and max(run[:spent]) > slack * budgets[spent - 1]:
-            heavy = itertools.compress(itertools.count(), map(
-                operator.gt, run[:spent], map(slack.__mul__, budgets)))
-            j = next(heavy, None)
-            if j is not None:
-                return i + j, budgets[j]
-        if spent < len(run):
-            return i + spent, budgets[spent]
-        i, left = i + len(run), budgets[-1]
-    return len(masses), left
+        for j, (mass, before) in enumerate(zip(run, budgets)):
+            if before <= 0.0 or mass > before * (1.0 + 1e-9):
+                return lo + j, before
+        left = budgets[-1]
+    return len(s), left
 
 
 def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._util import (ABOVE_ZERO, UNIT_BITS, RunningTotals, check_int, check_range, column,
-                    exact_units, float_sum_units)
+from ._util import (ABOVE_ZERO, UNIT_BITS, FloatTotals, RunningTotals, check_int, check_range,
+                    column, exact_units)
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -215,19 +215,23 @@ class Spectrum:
         """``rates[i]``, computed alone: searches read a few rates, not the column."""
         return self._rate_of(self.log_probs[i])
 
+    def __reduce__(self):
+        # Columns are memoryviews, which neither pickle nor deepcopy: rebuild
+        # from the constructor's arguments (the masses come out the same).
+        return Spectrum, (self.n, self.base, self.log_probs.tolist(), self.counts)
+
     @cached_property
     def _running_masses(self) -> array:
         """Left-to-right float sums of ``masses[:i]`` for i = 0, 1, ...: the
         running masses of a loop over the atoms from the first on.  Starts
-        at [0.0]; ``tails`` extends it as far as its searches reach."""
+        at [0.0]; ``tails`` replaces it by longer arrays as its searches
+        reach further, and never changes one in place."""
         return array("d", [0.0])
 
     @cached_property
     def mass_units(self) -> RunningTotals:
         """Exact running totals of ``masses`` in units of 2**-UNIT_BITS."""
-        masses = self.masses  # the terms must not read self
-        return RunningTotals(lambda lo, hi: map(exact_units, masses[lo:hi]), len(self),
-                             lambda lo, hi: float_sum_units(masses[lo:hi].tolist()))
+        return FloatTotals(self.masses)
 
     def mass_sum(self, start: int, stop: int | None = None,
                  extra: Sequence[float] = ()) -> float:

@@ -73,17 +73,19 @@ def _reach(s: Spectrum, start: int, goal: float) -> tuple[int, float]:
     ``running[j]`` is the sum of ``masses[start:start + j]``.  They are
     summed in runs of FIRST_RUN, 2 * FIRST_RUN, 4 * FIRST_RUN, ... atoms, so
     the search stops a run past the answer instead of at the end of the
-    spectrum.  From the first atom they are kept on the spectrum and only
-    extended, so a later search is one bisection (masses are >= 0, so they
-    ascend).
+    spectrum.  From the first atom they are kept on the spectrum, so a later
+    search is one bisection (masses are >= 0, so they ascend).  A longer
+    array replaces the kept one in one store and none is changed in place,
+    so a search in another thread keeps reading a consistent array.
     """
     running = s._running_masses if start == 0 else array("d", [0.0])
     while running[-1] < goal and start + len(running) <= len(s):
         lo = start + len(running) - 1
         hi = min(len(s), lo + len(running) - 1 + FIRST_RUN)
-        # A slice assignment, so a search repeated at once writes the same.
-        running[lo - start + 1:] = array("d", itertools.islice(
+        running = running + array("d", itertools.islice(
             itertools.accumulate(s.masses[lo:hi], initial=running[-1]), 1, None))
+        if start == 0:
+            s.__dict__["_running_masses"] = running
     j = bisect.bisect_left(running, goal, 1) - 1
     return start + j, running[j]
 

@@ -31,7 +31,7 @@ from overflowlab import (
     validate_counting_condition,
     varentropy,
 )
-from overflowlab._util import count_mass, split_count
+from overflowlab._util import FIRST_RUN, count_mass, split_count
 
 GRID = orc.grid_distributions()
 BINARY = [g for g in GRID if len(g) == 2]
@@ -457,10 +457,9 @@ def _exact_fit_budgets(s, eta, depths=range(40)):
     return [sums[d] for d in depths if d < len(sums) and 0.0 < sums[d] < 1.0]
 
 
-# Walks that end on, before and after the edges of the junk walk's blocks
-# (B, 2B, 4B, ... atoms, B = codes._JUNK_BLOCK).
-_B = codes_module._JUNK_BLOCK
-_RUN_EDGES = [d + e for d in (_B, 3 * _B, 7 * _B, 15 * _B) for e in (-1, 0, 1)]
+# Walks that end on, before and after the edge of each run the junk walk
+# tests in one pass (runs of r, 2r, 4r atoms).
+_RUN_EDGES = [d + e for d in (FIRST_RUN, 3 * FIRST_RUN, 7 * FIRST_RUN) for e in (-1, 0, 1)]
 
 
 EDGE_EPS = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 0.999, 1 - 1e-12]

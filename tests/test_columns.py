@@ -1,8 +1,10 @@
 """Read-only stdlib columns, and numpy kept off the import path."""
 
 import ast
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -17,9 +19,13 @@ from overflowlab import (code_overflow, construct_code, iid_spectrum, make_distr
 SRC = pathlib.Path(overflowlab.__file__).resolve().parent
 
 
+def _columns_spectra():
+    return (iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 12),
+            mixed_spectrum(make_distribution([0.2, 0.8]), make_distribution([0.4, 0.6]), 0.3, 9))
+
+
 def _columns():
-    s = iid_spectrum(make_distribution([0.2, 0.3, 0.5]), 12)
-    m = mixed_spectrum(make_distribution([0.2, 0.8]), make_distribution([0.4, 0.6]), 0.3, 9)
+    s, m = _columns_spectra()
     c = construct_code(s, 0.1)
     return {"log_probs": s.log_probs, "masses": s.masses, "rates": s.rates,
             "prefix_mass": s.prefix_mass, "suffix_mass": s.suffix_mass,
@@ -130,14 +136,17 @@ def test_numpy_is_imported_only_inside_the_sampling_functions():
     assert found == NUMPY_FUNCTIONS
 
 
-@pytest.mark.parametrize("probs, n, eps", [((0.3, 0.7), 200, 0.1), ((0.2, 0.3, 0.5), 30, 0.05),
-                                           ((0.11, 0.89), 2000, 0.3), ((0.5, 0.5), 9, 0.0)])
-def test_canonical_overflow_searches_the_length_rule_like_the_column(probs, n, eps):
-    # A fresh canonical code answers overflow queries from its length rule;
-    # once its column is built, from the column: the two agree everywhere.
-    s = iid_spectrum(make_distribution(list(probs)), n)
-    lazy, built = construct_code(s, eps), construct_code(s, eps)
-    lengths = built.lengths.tolist()
-    etas = sorted({1.0, *map(float, lengths), *(x + 0.5 for x in lengths), lengths[-1] + 7.0})
-    assert [code_overflow(lazy, eta) for eta in etas] == [code_overflow(built, eta) for eta in etas]
-    assert lazy.lengths.tolist() == lengths
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+                                     copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_spectra_and_codes_survive_pickle_and_copy(copy_of):
+    for s in _columns_spectra():
+        c = construct_code(s, 0.1)
+        s2, c2 = copy_of(s), copy_of(c)
+        assert (s2.n, s2.base, s2.counts) == (s.n, s.base, s.counts)
+        for name in ("log_probs", "masses", "rates"):
+            assert getattr(s2, name).tobytes() == getattr(s, name).tobytes()
+        assert c2.lengths.readonly and c2.lengths.tobytes() == c.lengths.tobytes()
+        assert (c2.selection, c2.error_mass) == (c.selection, c.error_mass)
+        assert c2.spectrum.masses.tobytes() == s.masses.tobytes()
+        etas = [1.0, *(x + 0.5 for x in c.lengths.tolist())]
+        assert [code_overflow(c2, e) for e in etas] == [code_overflow(c, e) for e in etas]

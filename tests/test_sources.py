@@ -38,7 +38,7 @@ from overflowlab import (
     validate_counting_condition,
 )
 from overflowlab import sources
-from overflowlab._util import RunningTotals, exact_units, float_sum_units
+from overflowlab._util import FloatTotals, RunningTotals, column, column_units, exact_units
 
 
 GRID = orc.grid_distributions()
@@ -329,14 +329,29 @@ def _block_edges(size):
                    for i in (j - 1, j, j + 1) if 0 <= i < size})
 
 
-def test_exact_units_and_float_sum_units_are_exact():
-    values = [*_SPECIAL.masses.tolist(), 5e-324, 2.2250738585072014e-308,
-              1.5e-310, 0.1, 0.3, 1e-300, 1.7976931348623157e308]
+def test_exact_units_and_column_units_are_exact():
+    values = [*_SPECIAL.masses.tolist(), 0.0, 5e-324, 2.2250738585072014e-308,
+              2.225073858507201e-308, 1.5e-310, 0.1, 0.3, 1e-300, 1.7976931348623157e308]
     assert [exact_units(v) for v in values] == [Fraction(v) * 2 ** 1074 for v in values]
+    col = column("d", values)
     for lo in range(len(values)):
-        for hi in range(lo, len(values) + 1):
-            part = values[lo:hi]
-            assert float_sum_units(list(part)) == sum(map(exact_units, part))
+        assert column_units(col[lo:]) == [exact_units(v) for v in values[lo:]]
+
+
+def test_float_totals_are_exact_across_the_switch_to_bit_patterns():
+    # Narrow blocks are summed by fsum rounds; the wide block (values 1000
+    # binades apart) switches the rest to bit patterns, narrow ones included.
+    block = FloatTotals.BLOCK
+    narrow = [0.1 * (1 + k / 7) for k in range(block)]
+    wide = [(1e-300 if k % 2 else 0.3) * (1 + k / 5) for k in range(block)]
+    values = narrow + [0.0] * block + wide + narrow + [5e-324, 1.5e-310, 0.2]
+    totals = FloatTotals(column("d", values))
+    assert not totals._narrow
+    cum = list(itertools.accumulate(Fraction(v) * 2 ** 1074 for v in values))
+    assert [totals.through(i) for i in range(len(values))] == cum
+    assert totals.total == cum[-1] and list(totals)[1:] == cum
+    assert [totals.first_reaching(c) for c in cum[::7]] == [
+        cum.index(c) for c in cum[::7]]
 
 
 def test_mass_units_are_exact_at_block_edges():

@@ -3,6 +3,8 @@ constrained tail minimization, and the finite-n quantile thresholds."""
 
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,34 @@ def _prefix_loop(s, start, target):
             return (i + 1, 0, cum + mass, seqs + count)
         return (i, k, cum + count_mass(k, lp), seqs + k)
     return (len(s), 0, cum, seqs)
+
+
+def test_prefix_searches_in_two_threads_equal_the_loop():
+    # Searches from the first atom extend running masses kept on the spectrum;
+    # two threads extending them at once must each read a consistent array.
+    targets = [k / 97 for k in range(1, 97)] + [1 - 1e-9, 1.5]
+    want = {t: _prefix_loop(spectrum_of((0.3, 0.7), 3000), 0, t) for t in targets}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            s = spectrum_of((0.3, 0.7), 3000)
+            got = {}
+
+            def search(order):
+                for t in order:
+                    sel = _greedy_prefix(s, 0, t)
+                    got.setdefault(t, set()).add(
+                        (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences))
+            threads = [threading.Thread(target=search, args=(order,))
+                       for order in (targets, targets[::-1], targets[::2])]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            assert got == {t: {want[t]} for t in targets}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @given(st.sampled_from(GRID), st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
