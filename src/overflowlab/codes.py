@@ -10,8 +10,9 @@ an error regardless of what the decoder outputs).
 A ``CodeSpec`` is columns over its spectrum: the decode selection and one
 read-only int64 column of codeword lengths (``_util.column``), one per decoded
 atom.  Every query reads those; ``CodeSpec.assignments`` is a per-atom view
-for outside readers.  Only the round-trip simulation imports numpy, inside
-its functions.
+for outside readers.  The canonical code builds its column on first read:
+until then overflow searches compute the few lengths they probe.  Only the
+round-trip simulation imports numpy, inside its functions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._util import (SPLIT_GUARD, check_budgets, check_int, check_range, column, count_mass,
                     doubling_runs, exact_units, split_count)
@@ -47,6 +48,46 @@ class Assignment:
     length: int
 
 
+class _CanonicalLengths(NamedTuple):
+    """The canonical code's length rule: decoded atom i, of log probability
+    ``log_probs[i]``, gets ceil(-log_K(P(x) / P(A))) floored at 1, by the
+    same IEEE operations as guarded_ceil."""
+
+    log_probs: Sequence[float]  # of the decoded atoms
+    ln_mass: float              # ln P(A)
+    ln_base: float
+
+    def __call__(self, i: int) -> int:
+        return max(math.ceil((self.ln_mass - self.log_probs[i]) / self.ln_base - SPLIT_GUARD), 1)
+
+    def column(self) -> Sequence[int]:
+        ln_mass, ln_base = self.ln_mass, self.ln_base
+        lengths = [math.ceil((ln_mass - lp) / ln_base - SPLIT_GUARD)
+                   for lp in self.log_probs.tolist()]
+        # Lengths never decrease, so the ones the floor at 1 raises are a prefix.
+        short = bisect.bisect_left(lengths, 1)
+        lengths[:short] = [1] * short
+        return column("q", lengths)
+
+
+class _Lengths:
+    """``CodeSpec.lengths``, a data descriptor over ``_lengths`` in the
+    instance dict.  A code built by ``construct_code`` holds its length rule
+    there until the column is first read; searches ask the rule for the few
+    lengths they probe, so a code that is only queried builds no column."""
+
+    def __get__(self, code, owner=None):
+        if code is None:
+            raise AttributeError("lengths")  # so the dataclass field has no default
+        lengths = code.__dict__["_lengths"]
+        if isinstance(lengths, _CanonicalLengths):
+            lengths = code.__dict__["_lengths"] = lengths.column()
+        return lengths
+
+    def __set__(self, code, lengths) -> None:
+        code.__dict__["_lengths"] = lengths
+
+
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
     """A deterministic code at type granularity, compared by identity.
@@ -60,19 +101,31 @@ class CodeSpec:
 
     spectrum: Spectrum
     selection: PrefixSelection
-    lengths: Sequence[int]
+    lengths: Sequence[int] = _Lengths()
     error_mass: float
 
     def __post_init__(self) -> None:
-        values = list(self.lengths)
+        lengths = self.__dict__["_lengths"]
         decoded = self.selection.full_atoms + (self.selection.boundary_taken > 0)
-        try:
-            lengths = column("q", values)
-        except (TypeError, OverflowError):
-            lengths = None
-        if lengths is None or decoded == 0 or len(values) != decoded or values != sorted(values):
+        if isinstance(lengths, _CanonicalLengths):
+            ok = len(lengths.log_probs) == decoded  # non-decreasing by construction
+        else:
+            values = list(lengths)
+            try:
+                lengths = column("q", values)
+            except (TypeError, OverflowError):
+                lengths = values = None
+            ok = values is not None and len(values) == decoded and values == sorted(values)
+        if not ok or decoded == 0:
             raise ValidationError("lengths: need one per decoded atom (>= 1), non-decreasing")
-        object.__setattr__(self, "lengths", lengths)
+        self.__dict__["_lengths"] = lengths
+
+    def _first_longer(self, eta: float) -> int:
+        """Index of the first decoded atom whose codeword is longer than ``eta``."""
+        lengths = self.__dict__["_lengths"]
+        if isinstance(lengths, _CanonicalLengths):
+            return bisect.bisect_right(range(len(lengths.log_probs)), eta, key=lengths)
+        return bisect.bisect_right(lengths, eta)
 
     def __reduce__(self):
         # The lengths column is a memoryview, which neither pickles nor deepcopies.
@@ -124,14 +177,9 @@ def construct_code(s: Spectrum, eps: float) -> CodeSpec:
     check_range("eps", eps, 0, 1)
     sel = _decode_selection(s, eps)
     b = sel.full_atoms
-    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0;
-    # the same IEEE operations as guarded_ceil, one per decoded atom.
-    ln_mass, ln_base, ceil = selection_log_mass(s, sel), math.log(s.base), math.ceil
-    lengths = [ceil((ln_mass - lp) / ln_base - SPLIT_GUARD)
-               for lp in s.log_probs[:b + (sel.boundary_taken > 0)].tolist()]
-    # Lengths never decrease, so the ones the floor at 1 raises are a prefix.
-    short = bisect.bisect_left(lengths, 1)
-    lengths[:short] = [1] * short
+    # Atoms [0, b) are decoded whole, and atom b too when boundary_taken > 0.
+    lengths = _CanonicalLengths(s.log_probs[:b + (sel.boundary_taken > 0)],
+                                selection_log_mass(s, sel), math.log(s.base))
     err = 0.0
     if b < len(s):
         rest = count_mass(s.counts[b] - sel.boundary_taken, s.log_probs[b])
@@ -147,7 +195,7 @@ def code_overflow(c: CodeSpec, eta: float) -> float:
     which never overflows for eta >= 1.
     """
     check_range("eta", eta, 1, math.inf)
-    first = bisect.bisect_right(c.lengths, eta)
+    first = c._first_longer(eta)
     return selection_mass_from(c.spectrum, c.selection, first)
 
 

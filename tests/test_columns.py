@@ -136,6 +136,19 @@ def test_numpy_is_imported_only_inside_the_sampling_functions():
     assert found == NUMPY_FUNCTIONS
 
 
+@pytest.mark.parametrize("probs, n, eps", [((0.3, 0.7), 200, 0.1), ((0.2, 0.3, 0.5), 30, 0.05),
+                                           ((0.11, 0.89), 2000, 0.3), ((0.5, 0.5), 9, 0.0)])
+def test_canonical_overflow_searches_the_length_rule_like_the_column(probs, n, eps):
+    # A fresh canonical code answers overflow queries from its length rule;
+    # once its column is built, from the column: the two agree everywhere.
+    s = iid_spectrum(make_distribution(list(probs)), n)
+    lazy, built = construct_code(s, eps), construct_code(s, eps)
+    lengths = built.lengths.tolist()
+    etas = sorted({1.0, *map(float, lengths), *(x + 0.5 for x in lengths), lengths[-1] + 7.0})
+    assert [code_overflow(lazy, eta) for eta in etas] == [code_overflow(built, eta) for eta in etas]
+    assert lazy.lengths.tolist() == lengths
+
+
 @pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
                                      copy.copy], ids=["pickle", "deepcopy", "copy"])
 def test_spectra_and_codes_survive_pickle_and_copy(copy_of):
