@@ -246,4 +246,3 @@ class FloatTotals(RunningTotals):
                 values.append(-r)
             self._narrow = False
         return sum(self._terms(lo, hi))
-
