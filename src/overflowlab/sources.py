@@ -7,9 +7,10 @@ probability (an atom), holding its log probability, an arbitrary precision
 integer count of sequences, and the atom's total probability mass.
 Float columns are read-only memoryviews over ``array('d')``: they index and
 slice like sequences, and ``numpy.asarray`` wraps them without a copy.
-Running sums take one exact path, built on first read: a ``RunningTotals``
-over the counts and one over the masses as integers in units of 2**-1074
-(``Spectrum.mass_units``), each keeping the total at every block edge.
+Running sums take one exact path: a ``RunningTotals`` over the counts
+(built on first read; every builder reads it to check the total count) and
+one over the masses as integers in units of 2**-1074 (``Spectrum.mass_units``,
+built by the constructor), each keeping the total at every block edge.
 ``Spectrum.count_through``, ``Spectrum.first_reaching`` and
 ``Spectrum.total_count`` read the first; ``Spectrum.mass_sum``, a correctly
 rounded sum of any run of atoms, reads the second.  A Spectrum's ``atoms``,
@@ -157,6 +158,8 @@ class Spectrum:
     log_probs: Sequence[float]
     counts: tuple[int, ...]
     masses: Sequence[float] = field(init=False)
+    # Exact running totals of ``masses`` in units of 2**-UNIT_BITS.
+    mass_units: RunningTotals = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int("n", self.n, 1))
@@ -190,6 +193,10 @@ class Spectrum:
         object.__setattr__(self, "log_probs", lps)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "masses", column("d", map(math.exp, exponents)))
+        # Every tail, tradeoff and code sums masses exactly, so their running
+        # totals are built here: the first query on a spectrum then costs what
+        # a later one does, instead of paying for the whole column.
+        object.__setattr__(self, "mass_units", FloatTotals(self.masses))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -227,11 +234,6 @@ class Spectrum:
         at [0.0]; ``tails`` replaces it by longer arrays as its searches
         reach further, and never changes one in place."""
         return array("d", [0.0])
-
-    @cached_property
-    def mass_units(self) -> RunningTotals:
-        """Exact running totals of ``masses`` in units of 2**-UNIT_BITS."""
-        return FloatTotals(self.masses)
 
     def mass_sum(self, start: int, stop: int | None = None,
                  extra: Sequence[float] = ()) -> float:

@@ -367,6 +367,13 @@ def test_mass_units_are_exact_at_block_edges():
             units.through(len(s))
 
 
+def test_running_totals_are_built_with_the_spectrum():
+    # The first query on a spectrum must not pay for a whole-column pass.
+    s = iid_spectrum(make_distribution([0.3, 0.7]), 300)
+    assert {"mass_units", "_count_totals"} <= vars(s).keys()
+    assert "mass_units" in vars(Spectrum(1, 2, [math.log(0.7), math.log(0.3)], [1, 1]))
+
+
 @given(st.sampled_from(GRID), st.integers(min_value=1, max_value=6))
 def test_counts_always_exact(probs, n):
     s = iid_spectrum(make_distribution(probs), n)
