@@ -32,7 +32,6 @@ import itertools
 import math
 import numbers
 import operator
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -226,14 +225,6 @@ class Spectrum:
         # Columns are memoryviews, which neither pickle nor deepcopy: rebuild
         # from the constructor's arguments (the masses come out the same).
         return Spectrum, (self.n, self.base, self.log_probs.tolist(), self.counts)
-
-    @cached_property
-    def _running_masses(self) -> array:
-        """Left-to-right float sums of ``masses[:i]`` for i = 0, 1, ...: the
-        running masses of a loop over the atoms from the first on.  Starts
-        at [0.0]; ``tails`` replaces it by longer arrays as its searches
-        reach further, and never changes one in place."""
-        return array("d", [0.0])
 
     def mass_sum(self, start: int, stop: int | None = None,
                  extra: Sequence[float] = ()) -> float:

@@ -8,13 +8,10 @@ from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 import math
-from array import array
 from dataclasses import dataclass
 
-from ._util import (FIRST_RUN, check_budgets, check_range, count_mass, exact_units,
-                    split_count)
+from ._util import UNIT_BITS, check_budgets, check_range, count_mass, exact_units, split_count
 from .errors import ValidationError
 from .sources import Spectrum
 
@@ -65,54 +62,37 @@ def _count_before(s: Spectrum, i: int) -> int:
     return s.count_through(i - 1) if i else 0
 
 
-def _reach(s: Spectrum, start: int, goal: float) -> tuple[int, float]:
-    """First atom i >= start whose running mass from ``start`` reaches ``goal``,
-    with the running mass before it; (len, total) when none does.
-
-    Running masses are left-to-right float sums, as a loop computes them:
-    ``running[j]`` is the sum of ``masses[start:start + j]``.  They are
-    summed in runs of FIRST_RUN, 2 * FIRST_RUN, 4 * FIRST_RUN, ... atoms, so
-    the search stops a run past the answer instead of at the end of the
-    spectrum.  From the first atom they are kept on the spectrum, so a later
-    search is one bisection (masses are >= 0, so they ascend).  A longer
-    array replaces the kept one in one store and none is changed in place,
-    so a search in another thread keeps reading a consistent array.
-    """
-    running = s._running_masses if start == 0 else array("d", [0.0])
-    while running[-1] < goal and start + len(running) <= len(s):
-        lo = start + len(running) - 1
-        hi = min(len(s), lo + len(running) - 1 + FIRST_RUN)
-        running = running + array("d", itertools.islice(
-            itertools.accumulate(s.masses[lo:hi], initial=running[-1]), 1, None))
-        if start == 0:
-            s.__dict__["_running_masses"] = running
-    j = bisect.bisect_left(running, goal, 1) - 1
-    return start + j, running[j]
-
-
 def _greedy_prefix(s: Spectrum, start: int, target: float) -> PrefixSelection:
     """Smallest descending-probability prefix of atoms [start..) with mass >= target.
 
-    Sequence-granular: the last type class is split with a guarded ceiling so
-    decimal knife edges resolve to the exact-arithmetic count.  If the suffix
-    cannot reach ``target`` everything from ``start`` on is taken.
+    The boundary atom is the first at which the exact running mass from
+    ``start`` reaches ``target``.  A target equal to an exact running sum
+    ends the prefix at that atom and takes it whole.  Otherwise the boundary
+    type class is split on the exact remainder, with a guarded ceiling so
+    decimal knife edges resolve to the exact-arithmetic count.  A target of
+    1 or more takes every atom from ``start`` on (the exact total of the
+    float masses can pass 1 by rounding dust), and so does one the suffix
+    cannot reach.  The mass is the correctly rounded mass of the selection.
     """
     if target <= 0.0:
         return PrefixSelection(full_atoms=start, boundary_taken=0, mass=0.0, num_sequences=0)
-    # The first atom at which the running mass reaches the target, less a
-    # 1e-12 allowance.
-    i, cum = _reach(s, start, target - 1e-12)
+    units = s.mass_units
+    goal = (units.through(start - 1) if start else 0) + exact_units(target)
+    i = len(s) if target >= 1.0 else units.first_reaching(goal)
     seqs = _count_before(s, i) - _count_before(s, start)
     if i == len(s):
-        return PrefixSelection(i, 0, cum, seqs)
-    lp, count, mass = s.log_probs[i], s.counts[i], s.masses[i]
-    # Log-domain split: at large n a single sequence's probability underflows
-    # a double even while the atom's mass is of order one.  cum < target, so
-    # the log is defined.
-    k = split_count(math.log(target - cum), lp, count, "cover")
+        return PrefixSelection(i, 0, s.mass_sum(start), seqs)
+    lp, count = s.log_probs[i], s.counts[i]
+    k = count
+    if units.through(i) > goal:
+        # Log-domain split: at large n a single sequence's probability
+        # underflows a double even while the atom's mass is of order one.
+        # The remainder is at least one unit, so the log is defined.
+        rest = goal - (units.through(i - 1) if i else 0)
+        k = split_count(math.log(rest / (1 << UNIT_BITS)), lp, count, "cover")
     if k == count:
-        return PrefixSelection(i + 1, 0, cum + mass, seqs + count)
-    return PrefixSelection(i, k, cum + count_mass(k, lp), seqs + k)
+        return PrefixSelection(i + 1, 0, s.mass_sum(start, i + 1), seqs + count)
+    return PrefixSelection(i, k, s.mass_sum(start, i, extra=(count_mass(k, lp),)), seqs + k)
 
 
 def top_probability_prefix(s: Spectrum, target: float) -> PrefixSelection:

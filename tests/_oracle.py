@@ -1,10 +1,10 @@
 """Sequence-level reference implementations used to pin the library.
 
 Everything here enumerates explicit sequences with itertools and plain
-Python floats, so it is small-n only.  The guarded rounding rules (the
-1e-9 split guard, the 1e-12 cover band, the whole-group junk guard)
-mirror the library's documented conventions so that decimal knife edges
-resolve to the same integer splits on both sides; all of the mass
+Python floats (the greedy cover sums in Fractions), so it is small-n only.
+The guarded rounding rules (the 1e-9 split guard, the whole-group junk
+guard) mirror the library's documented conventions so that decimal knife
+edges resolve to the same integer splits on both sides; all of the mass
 arithmetic, however, runs through independent code paths (per-sequence
 products summed with fsum instead of atom-level log-domain terms).
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 GUARD = 1e-9
 MERGE_RTOL = 1e-12
@@ -104,30 +105,34 @@ def tail_mass(levels, n, base, threshold, strict):
 
 
 def top_prefix(levels, target):
-    """Greedy cover mirroring the library's guarded top-probability prefix.
+    """Greedy cover mirroring the library's exact top-probability prefix.
+
+    Level masses are summed as Fractions, with no band: the first level
+    whose exact running mass reaches the target is the boundary, taken whole
+    when the target equals that running mass and otherwise split with the
+    guarded ceiling.  A target of 1 or more takes every level.
 
     Returns (per-level taken counts, mass, number of sequences).
     """
     taken = [0] * len(levels)
     if target <= 0.0:
         return taken, 0.0, 0
-    cum = 0.0
+    goal = Fraction(target)
+    cum = Fraction(0)
     seqs = 0
     for i, (lp, c) in enumerate(levels):
-        m = level_mass(lp, c)
-        if cum + m < target - 1e-12:
-            taken[i] = c
+        m = Fraction(level_mass(lp, c))
+        taken[i] = c
+        if target >= 1.0 or cum + m < goal:
             cum += m
             seqs += c
             continue
-        remaining = target - cum
-        per = math.exp(lp)
-        k = 0 if remaining <= 0.0 else min(g_ceil(remaining / per), c)
-        taken[i] = k
-        if k == c:
-            return taken, cum + m, seqs + c
-        return taken, cum + k * per, seqs + k
-    return taken, cum, seqs
+        if cum + m > goal:
+            taken[i] = min(g_ceil(float(goal - cum) / math.exp(lp)), c)
+        if taken[i] == c:
+            return taken, float(cum + m), seqs + c
+        return taken, float(cum + Fraction(taken[i] * math.exp(lp))), seqs + taken[i]
+    return taken, float(cum), seqs
 
 
 def smooth_max(levels, base, gamma):

@@ -8,7 +8,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import _oracle as orc
 from overflowlab import (
@@ -26,7 +26,7 @@ from overflowlab import (
     tail_mass,
     top_probability_prefix,
 )
-from overflowlab._util import FIRST_RUN, count_mass, split_count
+from overflowlab._util import RunningTotals, count_mass, exact_units, split_count
 from overflowlab.tails import _greedy_prefix
 
 GRID = orc.grid_distributions()
@@ -159,32 +159,72 @@ def test_prefix_takes_all_when_target_unreachable():
     assert sel.num_sequences == 4
 
 
+@pytest.mark.parametrize("n", [200, 2000])
+def test_prefix_at_target_one_takes_the_support(n):
+    # The exact total of the float masses passes 1 here (by about 1e-14);
+    # a target of 1 still takes every sequence.
+    s = spectrum_of((0.11, 0.89), n)
+    assert s.mass_units.total > exact_units(1.0)
+    assert top_probability_prefix(s, 1.0).num_sequences == 2 ** n
+    assert smooth_max_entropy(s, 0.0) == pytest.approx(n, rel=1e-15)
+
+
+def test_prefix_covers_a_target_below_1e_12():
+    # 3e-13 is about 5.5e6 sequences of the most likely 2**-64: no handful of
+    # sequences covers it.
+    s = spectrum_of((0.5, 0.25, 0.25), 64)
+    sel = top_probability_prefix(s, 3e-13)
+    assert sel.mass >= 3e-13
+    assert sel.num_sequences == 165_864_393
+    assert smooth_max_entropy(s, 1 - 3e-13) >= 22.4
+
+
 def test_prefix_rejects_nan_target():
     with pytest.raises(ValidationError):
         top_probability_prefix(spectrum_of((0.3, 0.7), 8), math.nan)
 
 
-def _prefix_loop(s, start, target):
-    """Reference: the atom-by-atom running sum the vectorised prefix replaced."""
-    cum, seqs = 0.0, 0
+def _prefix_fraction_loop(s, start, target):
+    """Reference: the first atom from ``start`` whose running mass, summed in
+    Fractions, reaches ``target``; taken whole on a tie, else split on the
+    exact remainder.  A target of 1 or more takes every atom."""
+    if target <= 0.0:
+        return (start, 0, 0.0, 0)
+    goal, cum, seqs = Fraction(target), Fraction(0), 0
     for i in range(start, len(s)):
-        lp, count, mass = float(s.log_probs[i]), s.counts[i], float(s.masses[i])
-        if cum + mass < target - 1e-12:
+        lp, count, mass = s.log_probs[i], s.counts[i], Fraction(s.masses[i])
+        if target >= 1.0 or cum + mass < goal:
             cum += mass
             seqs += count
             continue
-        k = split_count(math.log(target - cum), lp, count, "cover")
+        k = count
+        if cum + mass > goal:
+            k = split_count(math.log(goal - cum), lp, count, "cover")
         if k == count:
-            return (i + 1, 0, cum + mass, seqs + count)
-        return (i, k, cum + count_mass(k, lp), seqs + k)
-    return (len(s), 0, cum, seqs)
+            return (i + 1, 0, float(cum + mass), seqs + count)
+        return (i, k, float(cum + Fraction(count_mass(k, lp))), seqs + k)
+    return (len(s), 0, float(cum), seqs)
+
+
+def _prefix(s, start, target):
+    sel = _greedy_prefix(s, start, target)
+    return (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences)
+
+
+def _targets_around(s, start, stop):
+    """Targets on, one ulp either side of, and 5e-13 and 1e-3 past the exact
+    mass of atoms [start, stop)."""
+    run = float(sum(map(Fraction, s.masses[start:stop].tolist()), Fraction(0)))
+    return {run, math.nextafter(run, 0.0), math.nextafter(run, 2.0),
+            run - 5e-13, run + 5e-13, run + 1e-3}
 
 
 def test_prefix_searches_in_two_threads_equal_the_loop():
-    # Searches from the first atom extend running masses kept on the spectrum;
-    # two threads extending them at once must each read a consistent array.
+    # Searches fill the running totals' block cache as they go; threads
+    # filling it at once must each read consistent blocks.
     targets = [k / 97 for k in range(1, 97)] + [1 - 1e-9, 1.5]
-    want = {t: _prefix_loop(spectrum_of((0.3, 0.7), 3000), 0, t) for t in targets}
+    ref = spectrum_of((0.3, 0.7), 3000)
+    want = {t: _prefix_fraction_loop(ref, 0, t) for t in targets}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -194,9 +234,7 @@ def test_prefix_searches_in_two_threads_equal_the_loop():
 
             def search(order):
                 for t in order:
-                    sel = _greedy_prefix(s, 0, t)
-                    got.setdefault(t, set()).add(
-                        (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences))
+                    got.setdefault(t, set()).add(_prefix(s, 0, t))
             threads = [threading.Thread(target=search, args=(order,))
                        for order in (targets, targets[::-1], targets[::2])]
             for th in threads:
@@ -209,39 +247,25 @@ def test_prefix_searches_in_two_threads_equal_the_loop():
 
 
 @given(st.sampled_from(GRID), st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, 2e-12, 1e-3, 0.2]))
-def test_prefix_equals_running_sum_loop(probs, n, start_frac, stop_frac, offset):
+       st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-12), st.floats(1 - 1e-12, 1.5)))
+def test_prefix_equals_fraction_loop(probs, n, start_frac, stop_frac, far):
     s = spectrum_of(probs, n)
     start = int(start_frac * len(s))
     stop = start + int(stop_frac * (len(s) - start))
-    # Targets on and next to a running sum, where the 1e-12 allowance decides.
-    target = offset
-    for mass in s.masses[start:stop].tolist():
-        target += mass
-    assume(target > 0.0)
-    sel = _greedy_prefix(s, start, target)
-    got = (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences)
-    assert got == _prefix_loop(s, start, target)
+    for target in _targets_around(s, start, stop) | {far}:
+        assert _prefix(s, start, target) == _prefix_fraction_loop(s, start, target)
 
 
 @pytest.mark.parametrize("probs,n", [((0.3, 0.7), 2000), ((0.2, 0.3, 0.5), 45)])
 @pytest.mark.parametrize("start", [0, 5])
-def test_prefix_equals_loop_across_search_runs(probs, n, start):
-    # The search sums runs of r, 2r, 4r, ... atoms; put the boundary on,
-    # before and after the edge of each run, and past the end.
+def test_prefix_equals_fraction_loop_across_blocks(probs, n, start):
+    # Running totals are kept at the edges of blocks; put the boundary on,
+    # before and after block edges near and far, and past the end.
     s = spectrum_of(probs, n)
-    r = FIRST_RUN
-    assert len(s) > 3 * r + start + 1
-    for depth in (r - 1, r, r + 1, 3 * r - 1, 3 * r, 3 * r + 1, 7 * r, len(s)):
-        stop = min(start + depth, len(s))
-        running = 0.0
-        for mass in s.masses[start:stop].tolist():
-            running += mass
-        for target in (running, running - 5e-13, running + 5e-13, running + 1e-3, 1.5):
-            if target > 0.0:
-                sel = _greedy_prefix(s, start, target)
-                got = (sel.full_atoms, sel.boundary_taken, sel.mass, sel.num_sequences)
-                assert got == _prefix_loop(s, start, target)
+    b = RunningTotals.BLOCK
+    for depth in (1, b - 1, b, b + 1, 7 * b, 40 * b - start, len(s) - start):
+        for target in _targets_around(s, start, start + depth) | {1.5}:
+            assert _prefix(s, start, target) == _prefix_fraction_loop(s, start, target)
 
 
 @pytest.mark.parametrize("probs", SLICE)
@@ -269,12 +293,17 @@ def test_selection_log_mass_survives_underflow():
 
 
 def test_selection_log_mass_of_underflowed_whole_atoms():
-    # The one most likely sequence at n = 8000 is a whole atom of mass
-    # 0.9**8000, which underflows to 0.0.
+    # The most likely sequences at n = 8000 (0.9**8000 and on) have masses
+    # that underflow to 0.0; covering 1e-12 exactly takes 618 whole atoms and
+    # a slice of the next.  The log-sum-exp path, taken when a selection's
+    # mass underflowed, agrees with the log of that mass.
     s = spectrum_of((0.1, 0.9), 8000)
     sel = top_probability_prefix(s, 1e-12)
-    assert (sel.full_atoms, sel.boundary_taken, sel.mass) == (1, 0, 0.0)
-    assert selection_log_mass(s, sel) == pytest.approx(8000 * math.log(0.9), rel=1e-15)
+    assert _prefix(s, 0, 1e-12) == _prefix_fraction_loop(s, 0, 1e-12)
+    assert sel.full_atoms == 618 and sel.mass >= 1e-12
+    assert s.masses[0] == 0.0
+    underflowed = PrefixSelection(sel.full_atoms, sel.boundary_taken, 0.0, sel.num_sequences)
+    assert selection_log_mass(s, underflowed) == pytest.approx(math.log(sel.mass), rel=1e-13)
 
 
 def test_selection_log_mass_sums_whole_atoms_and_slice_in_logs():
@@ -410,6 +439,18 @@ def test_restricted_tail_is_sandwiched(probs, n, eps, rate):
     assert r.value >= max(tail - eps, 0.0) - 1e-9
     assert r.set_mass >= 1.0 - eps - 1e-9
     assert r.set_mass <= 1.0 + 1e-12
+
+
+def test_restricted_tail_covers_a_deficit_below_1e_12():
+    # At rate 0 every atom is in the tail, and the heaviest, 0.9**300 = 1.9e-14,
+    # is far short of the 5e-13 deficit: the cover goes on past it.
+    s = spectrum_of((0.1, 0.9), 300)
+    eps = 1 - 5e-13
+    deficit = s.mass_sum(0) - eps
+    r = restricted_tail_inf(s, eps, 0.0)
+    assert s.masses[0] < deficit < 1e-12
+    assert r.value >= deficit
+    assert r.value == _prefix_fraction_loop(s, 0, deficit)[2]
 
 
 @pytest.mark.parametrize("eps", [-0.2, 1.0, 1.5])
