@@ -1,6 +1,6 @@
 """Small numeric helpers: range and integer checks, read-only columns, guarded
-integer splits, doubling searches, and exact summation, with running totals of
-ints kept at block edges.  Standard library only."""
+integer splits, and exact summation, with running totals of ints kept at
+block edges.  Standard library only."""
 
 from __future__ import annotations
 
@@ -118,21 +118,6 @@ def count_mass(k: int, lp: float) -> float:
     if k <= 0:
         return 0.0
     return math.exp(math.log(k) + lp)
-
-
-# Items in the first run of a doubling search; each further run doubles, so a
-# search that ends w items in sums at most about 2w items, not everything.
-FIRST_RUN = 256
-
-
-def doubling_runs(start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges [lo, hi) covering [start, stop), of FIRST_RUN,
-    2 * FIRST_RUN, 4 * FIRST_RUN, ... items (the last one cut at ``stop``)."""
-    size = FIRST_RUN
-    while start < stop:
-        yield start, min(start + size, stop)
-        start += size
-        size *= 2
 
 
 # Every finite double is an integer multiple of 2**-1074, the least subnormal,

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._util import ABOVE_ONE, ABOVE_ZERO, check_budgets, check_int, check_range
 from .codes import optimal_threshold
 from .errors import ValidationError
-from .sources import Distribution, SwitchingSchedule, iid_spectrum, switching_spectrum
+from .sources import Distribution, Spectrum, SwitchingSchedule, iid_spectrum, switching_spectrum
 
 __all__ = [
     "entropy", "varentropy", "q_upper", "q_upper_inv",
@@ -165,6 +165,14 @@ def _blocklengths(n_grid: Sequence[int]) -> list[int]:
     return grid
 
 
+def _thresholds(build: Callable[[int], Spectrum], eps: float, delta: float,
+                n_grid: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(n, exact optimal threshold of ``build(n)``) for each blocklength of a
+    checked grid, one spectrum at a time."""
+    for n in n_grid:
+        yield n, optimal_threshold(build(n), eps, delta)
+
+
 def convergence_study(d: Distribution, eps: float, delta: float,
                       n_grid: Sequence[int]) -> AsymptoticReport:
     """Exact optimal thresholds over ``n_grid`` with their Gaussian comparison."""
@@ -175,9 +183,7 @@ def convergence_study(d: Distribution, eps: float, delta: float,
     limit = second_order_threshold(d, h, eps, delta)
     ml_rate, ml_const = mean_length_constants(d, eps)
     samples = []
-    for n in n_grid:
-        s = iid_spectrum(d, n)
-        t = optimal_threshold(s, eps, delta)
+    for n, t in _thresholds(lambda n: iid_spectrum(d, n), eps, delta, n_grid):
         rate = t / n
         centered = (t - n * h) / math.sqrt(n)
         samples.append(ConvergenceSample(
@@ -228,13 +234,10 @@ def optimistic_study(schedule: SwitchingSchedule, eps: float, delta: float,
     check_budgets(eps, delta)
     n_grid = _blocklengths(n_grid)
     check_range("tail_fraction", tail_fraction, ABOVE_ZERO, ABOVE_ONE, "(0, 1]")
-    samples = []
-    for n in n_grid:
-        s = switching_spectrum(schedule, n)
-        t = optimal_threshold(s, eps, delta)
-        samples.append(OptimisticSample(
-            n=n, active_component=schedule.active_component(n),
-            threshold=t, rate=t / n))
+    samples = [OptimisticSample(n=n, active_component=schedule.active_component(n),
+                                threshold=t, rate=t / n)
+               for n, t in _thresholds(lambda n: switching_spectrum(schedule, n),
+                                       eps, delta, n_grid)]
     tail_start = len(samples) - max(1, math.ceil(len(samples) * tail_fraction))
     tail = samples[tail_start:]
     rates = [x.rate for x in tail]

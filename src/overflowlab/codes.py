@@ -13,6 +13,11 @@ atom.  Every query reads those; ``CodeSpec.assignments`` is a per-atom view
 for outside readers.  The canonical code builds its column on first read:
 until then overflow searches compute the few lengths they probe.  Only the
 round-trip simulation imports numpy, inside its functions.
+
+``optimal_tradeoff`` keeps its error budget as an exact integer count of
+2**-1074 units and junks whole atoms in runs, one search of the spectrum's
+exact mass totals per run, so delta* is the correctly rounded exact sum of
+what overflows.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from ._util import (SPLIT_GUARD, check_budgets, check_int, check_range, column, count_mass,
-                    doubling_runs, exact_units, split_count)
+from ._util import (SPLIT_GUARD, UNIT_BITS, check_budgets, check_int, check_range, column,
+                    count_mass, exact_units, split_count)
 from .errors import ValidationError
 from .sources import Distribution, Spectrum, level_types
 from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
@@ -247,27 +252,10 @@ class TradeoffPoint:
     budget: int  # number of decodable strings, sum_{i<=floor(eta)} K^i
 
 
-def _junk_whole_run(s: Spectrum, i: int, left: float) -> tuple[int, float]:
-    """Junk whole atoms from ``i`` on while each still fits the budget ``left``.
-
-    Returns the first atom not junked and the budget left before it, which is
-    <= 0 when the budget ran out.  itertools.accumulate subtracts in order,
-    so every running budget equals the one an atom-by-atom loop computes.
-    """
-    # Atoms of total mass below a quarter ulp of the budget leave it
-    # unchanged, one subtraction at a time (half the spacing below it is at
-    # least that), and each fits: skip them with one search of the exact sums.
-    units = s.mass_units
-    i = max(i, units.first_reaching((units.through(i - 1) if i else 0)
-                                    + exact_units(math.ulp(left) / 4)))
-    for lo, hi in doubling_runs(i, len(s)):
-        run = s.masses[lo:hi].tolist()
-        budgets = list(itertools.accumulate(run, operator.sub, initial=left))
-        for j, (mass, before) in enumerate(zip(run, budgets)):
-            if before <= 0.0 or mass > before * (1.0 + 1e-9):
-                return lo + j, before
-        left = budgets[-1]
-    return len(s), left
+# The whole-fit guard as an exact factor: a run of whole atoms may pass the
+# budget at its start by SPLIT_GUARD of it, forgiving float noise in an eps
+# that was itself summed from masses.
+_GUARDED = exact_units(1.0 + SPLIT_GUARD)
 
 
 def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
@@ -280,10 +268,15 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
     granularity).  Junked sequences share the length-1 junk string, so they
     never overflow; delta_star is the mass left over.
 
-    The walk stops once the budget is spent; delta_star is then the correctly
-    rounded exact sum of what the walk left over and every atom past it.
-    delta_star is a step function of floor(eta): only the integer part of the
-    threshold buys strings.
+    The budget is kept exactly, in units of 2**-1074.  Junking goes in runs:
+    the top-M remainder alone, then each stretch of whole atoms after an atom
+    that did not fit whole.  A run takes every atom up to the first whose
+    exact running total passes the budget at the run's start times
+    (1 + SPLIT_GUARD); that atom is split on the log of the exact remainder.
+    A budget a run overspends (by at most the guard) is spent.  delta_star is
+    the correctly rounded exact sum of every overflowing mass.  It is a step
+    function of floor(eta): only the integer part of the threshold buys
+    strings.
     """
     check_range("eta", eta, 1, math.inf)
     check_range("eps", eps, 0, 1)
@@ -292,59 +285,44 @@ def optimal_tradeoff(s: Spectrum, eta: float, eps: float) -> TradeoffPoint:
         return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=0.0, budget=m_budget)
     # Top-M split: first atom where the running count reaches the budget.
     b = s.first_reaching(m_budget)
-    # Error budget: junk the heaviest sequences that still fit, heaviest first;
-    # what is neither decoded nor junked overflows.  Atom i has ``avail``
-    # sequences neither decoded nor junked; ``over`` holds the overflow mass
-    # of the atoms the walk has passed.
-    left = eps
-    over = []
+    # Atom i has ``avail`` sequences neither decoded nor junked; ``left`` is the
+    # budget and ``over`` the overflow mass of the atoms before i, both in units.
+    units = s.mass_units
+    left, over = exact_units(eps), 0
     i, avail = b, s.count_through(b) - m_budget
     while True:
+        # Atom i (the top-M remainder, or the atom that ended a run): its
+        # ``avail`` sequences are junked whole within the guard, or split.
         lp = s.log_probs[i]
-        if left > 0.0 and avail > 0:
-            avail_mass = s.masses[i] if avail == s.counts[i] else count_mass(avail, lp)
-            if avail_mass <= left * (1.0 + 1e-9):
-                # The whole remainder of the atom fits (up to rounding dust
-                # from earlier subtractions), so take it in one piece; this
-                # keeps the budget decrement from leaving stray mass when the
-                # tail is exactly exhaustible.
-                left = max(left - avail_mass, 0.0)
-                avail = 0
-            else:
-                k = split_count(math.log(left), lp, avail, "fit")
-                if k > 0:
-                    avail -= k
-                    left = max(left - count_mass(k, lp), 0.0)
-        if avail == s.counts[i]:
-            over.append(s.masses[i])
-        elif avail > 0:
-            over.append(count_mass(avail, lp))
+        rest = exact_units(count_mass(avail, lp))
+        if rest <= left * _GUARDED >> UNIT_BITS:
+            left -= rest
+        else:
+            k = split_count(math.log(left / (1 << UNIT_BITS)), lp, avail, "fit") if left else 0
+            left -= exact_units(count_mass(k, lp))
+            over += exact_units(count_mass(avail - k, lp))
         i += 1
-        if left == 0.0 or i == len(s):
+        if left <= 0 or i == len(s):
             break
         # Atoms whose one sequence outweighs the budget by more than the split
         # guard take no junk, so they overflow whole.  Log probs descend, so
         # they form a run.
-        ln_fit = math.log(left) + 1e-6
+        ln_fit = math.log(left / (1 << UNIT_BITS)) + 1e-6
+        before = units.through(i - 1)
         if s.log_probs[i] > ln_fit:
             j = bisect.bisect_left(s.log_probs, -ln_fit, lo=i + 1, key=operator.neg)
-            over.extend(s.masses[i:j].tolist())
-            i = j
-            if i == len(s):
+            if j == len(s):
                 break
-        if s.masses[i] <= left * (1.0 + 1e-9):
-            # When the rest of the spectrum fits the budget by a margin far
-            # above the walk's rounding (under 1e-9 relative even over 5e6
-            # subtractions), the walk would junk all of it: skip to the end.
-            if s.mass_sum(i) < left * (1.0 - 1e-6):
-                i = len(s)
-                break
-            i, left = _junk_whole_run(s, i, left)
-            left = max(left, 0.0)
-            if left == 0.0 or i == len(s):
-                break
+            over += units.through(j - 1) - before
+            i, before = j, units.through(j - 1)
+        # The run: every whole atom up to the first that passes the allowance.
+        i = units.first_reaching(before + (left * _GUARDED >> UNIT_BITS) + 1)
+        left -= units.through(i - 1) - before
+        if left <= 0 or i == len(s):
+            break
         avail = s.counts[i]
-    return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=s.mass_sum(i, extra=over),
+    over += units.total - units.through(i - 1)
+    return TradeoffPoint(n=s.n, eta=eta, eps=eps, delta_star=over / (1 << UNIT_BITS),
                          budget=m_budget)
 
 

@@ -1,10 +1,10 @@
 """Code construction, the counting condition, exact overflow tradeoffs, and
 the round-trip simulator."""
 
-import bisect
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ import overflowlab.codes as codes_module
 from overflowlab import (
     Assignment,
     CodeSpec,
+    Distribution,
     PrefixSelection,
     Spectrum,
     ValidationError,
@@ -31,7 +32,7 @@ from overflowlab import (
     validate_counting_condition,
     varentropy,
 )
-from overflowlab._util import FIRST_RUN, count_mass, split_count
+from overflowlab._util import SPLIT_GUARD, RunningTotals, count_mass, split_count
 
 GRID = orc.grid_distributions()
 BINARY = [g for g in GRID if len(g) == 2]
@@ -409,38 +410,47 @@ def test_tradeoff_gap_to_subset_optimum_can_be_strict():
     assert greedy > best + 1e-3
 
 
-def _walk_loop(s, eta, eps):
-    """Reference: the atom-by-atom junk walk over the whole spectrum that the
-    bounded walk replaced; returns (delta_star, budget)."""
+_GUARD = Fraction(1.0 + SPLIT_GUARD)
+
+
+def _walk_fraction_loop(s, eta, eps):
+    """Reference: the junk walk atom by atom, with the budget in Fractions;
+    returns (delta_star, budget).  Whole atoms join a run while the run's
+    exact mass stays within the budget at its start times (1 + SPLIT_GUARD);
+    runs start after the top-M remainder and after each atom not junked
+    whole, which is split.  A spent budget junks nothing more, and
+    delta_star is the correctly rounded sum of what overflows."""
     m_budget = string_budget(s.base, math.floor(eta))
     if m_budget >= s.total_count:
         return 0.0, m_budget
-    cum_counts = s.cumulative_counts
-    b = bisect.bisect_left(cum_counts, m_budget)
-    left = eps
-    over = []
-    undecoded = (cum_counts[b] - m_budget,) + s.counts[b + 1:]
-    for avail, count, lp, mass in zip(undecoded, s.counts[b:], s.log_probs[b:].tolist(),
-                                      s.masses[b:].tolist()):
-        if left > 0.0 and avail > 0:
-            avail_mass = count_mass(avail, lp)
-            if avail_mass <= left * (1.0 + 1e-9):
-                left = max(left - avail_mass, 0.0)
+    b = s.first_reaching(m_budget)
+    # The budget at the run's start, what the run may take, and what it took.
+    start, over = Fraction(eps), []
+    cap, run = start * _GUARD, Fraction(0)
+    for i in range(b, len(s)):
+        lp = s.log_probs[i]
+        avail = s.count_through(b) - m_budget if i == b else s.counts[i]
+        taken = run + Fraction(count_mass(avail, lp))
+        if taken <= cap:
+            run = taken
+            if i > b:
                 continue
-            k = split_count(math.log(left), lp, avail, "fit")
-            if k > 0:
-                avail -= k
-                left = max(left - count_mass(k, lp), 0.0)
-        if avail == count:
-            over.append(mass)
-        elif avail > 0:
-            over.append(count_mass(avail, lp))
-    return max(math.fsum(over), 0.0), m_budget
+        else:
+            left = start - run
+            k = split_count(math.log(left), lp, avail, "fit") if left > 0 else 0
+            run += Fraction(count_mass(k, lp))
+            over.append(count_mass(avail - k, lp))
+        start -= run
+        if start <= 0:
+            over.extend(s.masses[i + 1:].tolist())
+            break
+        cap, run = start * _GUARD, Fraction(0)
+    return math.fsum(over), m_budget
 
 
 def _assert_walk_matches(s, eta, eps):
     p = optimal_tradeoff(s, eta, eps)
-    assert (p.delta_star, p.budget) == _walk_loop(s, eta, eps)
+    assert (p.delta_star, p.budget) == _walk_fraction_loop(s, eta, eps)
 
 
 def _log_count(s):
@@ -448,41 +458,50 @@ def _log_count(s):
 
 
 def _exact_fit_budgets(s, eta, depths=range(40)):
-    """Budgets that the boundary remainder plus the next ``depth`` atoms use up exactly."""
+    """Budgets that the boundary remainder plus the next ``depth`` atoms use
+    up, summed in floats left to right as a caller would: knife edges for the
+    guard.  Maps each depth to its budget."""
     m_budget = string_budget(s.base, math.floor(eta))
     if m_budget >= s.total_count:
-        return []
-    b = bisect.bisect_left(s.cumulative_counts, m_budget)
-    rest = count_mass(s.cumulative_counts[b] - m_budget, float(s.log_probs[b]))
+        return {}
+    b = s.first_reaching(m_budget)
+    rest = count_mass(s.count_through(b) - m_budget, s.log_probs[b])
     sums = [rest]
     for mass in s.masses[b + 1:b + 1 + max(depths)].tolist():
         sums.append(sums[-1] + mass)
-    return [sums[d] for d in depths if d < len(sums) and 0.0 < sums[d] < 1.0]
+    return {d: sums[d] for d in depths if d < len(sums) and 0.0 < sums[d] < 1.0}
 
 
-# Walks that end on, before and after the edge of each run the junk walk
-# tests in one pass (runs of r, 2r, 4r atoms).
-_RUN_EDGES = [d + e for d in (FIRST_RUN, 3 * FIRST_RUN, 7 * FIRST_RUN) for e in (-1, 0, 1)]
+def _block_edge_depths(s, eta):
+    """Depths whose exact-fit run ends on, before and after the edges of the
+    running totals' blocks, near the top-M split and far past it, and the
+    depth that takes every atom."""
+    b = s.first_reaching(string_budget(s.base, math.floor(eta)))
+    edges = [(b // RunningTotals.BLOCK + k) * RunningTotals.BLOCK for k in (1, 2, 8, 40)]
+    near = [e - b - 1 + d for e in edges for d in (-1, 0, 1)]
+    return [depth for depth in near if depth >= 0] + [len(s) - b - 1]
 
 
 EDGE_EPS = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 0.999, 1 - 1e-12]
 
 
-@given(st.sampled_from(GRID), st.integers(1, 40), st.floats(0.0, 1.2),
-       st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 0.999999)))
-def test_tradeoff_equals_walk_loop(probs, n, eta_frac, eps):
-    s = spectrum_of(probs, n)
+@given(st.sampled_from(GRID), st.sampled_from([2, 3]), st.integers(1, 40), st.floats(0.0, 1.2),
+       st.floats(0.0, 0.999999), st.integers(0, 39))
+def test_tradeoff_equals_walk_loop(probs, base, n, eta_frac, eps, depth):
+    s = iid_spectrum(make_distribution(list(probs), base), n)
     eta = max(1.0, eta_frac * _log_count(s))
-    _assert_walk_matches(s, eta, eps)
+    for e in [eps, *EDGE_EPS, *_exact_fit_budgets(s, eta, [depth]).values()]:
+        _assert_walk_matches(s, eta, e)
 
 
 @given(st.sampled_from(BINARY), st.sampled_from(BINARY), st.floats(0.05, 0.95),
-       st.integers(1, 60), st.floats(0.0, 1.2),
-       st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 0.999999)))
-def test_tradeoff_equals_walk_loop_on_mixtures(p1, p2, w1, n, eta_frac, eps):
-    s = mixed_spectrum(make_distribution(p1), make_distribution(p2), w1, n)
+       st.sampled_from([2, 3]), st.integers(1, 60), st.floats(0.0, 1.2),
+       st.floats(0.0, 0.999999), st.integers(0, 39))
+def test_tradeoff_equals_walk_loop_on_mixtures(p1, p2, w1, base, n, eta_frac, eps, depth):
+    s = mixed_spectrum(make_distribution(p1, base), make_distribution(p2, base), w1, n)
     eta = max(1.0, eta_frac * _log_count(s))
-    _assert_walk_matches(s, eta, eps)
+    for e in [eps, *EDGE_EPS, *_exact_fit_budgets(s, eta, [depth]).values()]:
+        _assert_walk_matches(s, eta, e)
 
 
 @pytest.mark.parametrize("probs,n", [((0.3, 0.7), 12), ((0.1, 0.9), 200),
@@ -493,7 +512,7 @@ def test_tradeoff_equals_walk_loop_at_the_edges(probs, n):
     etas = [1, 1.5, 2, log_count / 2, log_count - 1, log_count, log_count + 1, 10 * log_count]
     for eta in etas:
         eta = max(1.0, eta)
-        for eps in EDGE_EPS + _exact_fit_budgets(s, eta):
+        for eps in EDGE_EPS + list(_exact_fit_budgets(s, eta).values()):
             _assert_walk_matches(s, eta, eps)
 
 
@@ -509,8 +528,43 @@ def _binary_20000():
 def test_tradeoff_equals_walk_loop_at_large_n(shift):
     s, nh, sd = _binary_20000()
     eta = nh + shift * sd
-    for eps in [0.0, 1e-6, 1e-3, 0.05, 0.3, 0.9] + _exact_fit_budgets(s, eta, _RUN_EDGES):
+    budgets = _exact_fit_budgets(s, eta, _block_edge_depths(s, eta))
+    for eps in [0.0, 1e-6, 1e-3, 0.05, 0.3, 0.9, *budgets.values()]:
         _assert_walk_matches(s, eta, eps)
+
+
+@pytest.mark.parametrize("shift", [-2.0, -0.5, 0.5, 3.0])
+def test_tradeoff_guard_at_exact_fit_budgets(shift):
+    # A budget summed in floats from the masses it should junk misses their
+    # exact sum by a few ulps either way.  The guard junks those atoms whole,
+    # and a run may take at most the guard's share of its budget beyond them.
+    # One that falls short by more than the guard leaves some of them over.
+    s, nh, sd = _binary_20000()
+    eta = nh + shift * sd
+    b = s.first_reaching(string_budget(s.base, math.floor(eta)))
+    budgets = _exact_fit_budgets(s, eta, [0, 1, 2, 40, 300, *_block_edge_depths(s, eta)])
+    assert len(budgets) >= 10
+    for depth, budget in budgets.items():
+        after = s.mass_sum(b + depth + 1)
+        for eps in (math.nextafter(budget, 0.0), budget, math.nextafter(budget, 1.0)):
+            delta_star = optimal_tradeoff(s, eta, eps).delta_star
+            assert after - 2 * SPLIT_GUARD * eps <= delta_star <= after
+        assert optimal_tradeoff(s, eta, budget * (1 - 100 * SPLIT_GUARD)).delta_star > after
+    # The budget summed from every atom past the top-M split junks them all.
+    assert optimal_tradeoff(s, eta, budgets[len(s) - b - 1]).delta_star == 0.0
+
+
+@pytest.mark.parametrize("probs,eta,eps,want", [
+    ((0.2, 0.7, 0.1), 3, 0.5, 0.2694079600000001),
+    ((0.3, 0.6, 0.1), 9, 0.1, 0.09034345000000003),
+])
+def test_tradeoff_budget_does_not_drift(probs, eta, eps, want):
+    # Subtracting junked masses from a float budget drifted past the split
+    # guard here, so a sequence that fits was left to overflow.  The entries
+    # are taken as given (no normalising nudge), so these knife edges stay.
+    s = iid_spectrum(Distribution(probs=probs, base=2), 8)
+    assert optimal_tradeoff(s, eta, eps).delta_star == want
+    assert _walk_fraction_loop(s, eta, eps)[0] == want
 
 
 def test_tradeoff_work_is_bounded(monkeypatch):
