@@ -1,7 +1,7 @@
 """Draw data, encode it, decode it, and compare the empirical rates to the
 exact ones the spectrum predicts."""
 
-import numpy as np
+import math
 
 from overflowlab import (
     code_overflow,
@@ -27,7 +27,7 @@ exact_err = code.error_mass
 exact_over = code_overflow(code, eta)
 
 def band(p):
-    return 3 * np.sqrt(max(p * (1 - p), 1e-12) / samples)
+    return 3 * math.sqrt(max(p * (1 - p), 1e-12) / samples)
 
 print(f"Bernoulli(0.3), n = {n}, eps = {eps}, eta = {eta}, "
       f"{samples} drawn sequences")

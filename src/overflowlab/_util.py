@@ -161,8 +161,8 @@ class RunningTotals:
     def __init__(self, terms: Callable[[int, int], Iterable[int]], size: int) -> None:
         self._terms = terms
         self._size = size
-        sums = map(self._block_total, range(0, size, self.BLOCK),
-                   range(self.BLOCK, size + self.BLOCK, self.BLOCK))
+        sums = map(sum, map(terms, range(0, size, self.BLOCK),
+                            range(self.BLOCK, size + self.BLOCK, self.BLOCK)))
         # _edges[j] is the total of items [0, j * BLOCK); the last one is the total.
         self._edges = tuple(itertools.accumulate(sums, initial=0))
         self._blocks: dict[int, tuple[int, ...]] = {}
@@ -173,10 +173,6 @@ class RunningTotals:
         blocks = map(self._terms, range(0, self._size, self.BLOCK),
                      range(self.BLOCK, self._size + self.BLOCK, self.BLOCK))
         return itertools.accumulate(itertools.chain.from_iterable(blocks), initial=0)
-
-    def _block_total(self, lo: int, hi: int) -> int:
-        """Total of items lo .. hi - 1; a subclass may sum them by a faster route."""
-        return sum(self._terms(lo, hi))
 
     def _block(self, j: int) -> tuple[int, ...]:
         run = self._blocks.get(j)
@@ -199,35 +195,3 @@ class RunningTotals:
         if j == len(self._edges) - 1:
             return self._size
         return j * self.BLOCK + bisect.bisect_left(self._block(j), total)
-
-
-class FloatTotals(RunningTotals):
-    """Exact running totals of a float column, all entries finite and >= 0, in
-    units of 2**-UNIT_BITS (items from ``column_units``).
-
-    A block total comes from ``math.fsum`` rounds while blocks are narrow:
-    fsum rounds the sum correctly, and appending that rounded sum, negated,
-    leaves the exact remainder for the next round.  Each round covers 53 more
-    bits of the sum, so a block whose values span hundreds of binades (as
-    ternary and mixture spectra have) needs many; once one needs more than
-    FSUM_ROUNDS, it and every later block are summed from bit patterns, which
-    cost the same at any span.
-    """
-
-    FSUM_ROUNDS = 2
-
-    def __init__(self, values: memoryview) -> None:
-        self._values = values
-        self._narrow = True
-        super().__init__(lambda lo, hi: column_units(values[lo:hi]), len(values))
-
-    def _block_total(self, lo: int, hi: int) -> int:
-        if self._narrow:
-            values, total = self._values[lo:hi].tolist(), 0
-            for _ in range(self.FSUM_ROUNDS + 1):
-                if (r := math.fsum(values)) == 0.0:
-                    return total
-                total += exact_units(r)
-                values.append(-r)
-            self._narrow = False
-        return sum(self._terms(lo, hi))

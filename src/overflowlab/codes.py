@@ -11,8 +11,7 @@ A ``CodeSpec`` is columns over its spectrum: the decode selection and one
 read-only int64 column of codeword lengths (``_util.column``), one per decoded
 atom.  Every query reads those; ``CodeSpec.assignments`` is a per-atom view
 for outside readers.  The canonical code builds its column on first read:
-until then overflow searches compute the few lengths they probe.  Only the
-round-trip simulation imports numpy, inside its functions.
+until then overflow searches compute the few lengths they probe.
 
 ``optimal_tradeoff`` keeps its error budget as an exact integer count of
 2**-1074 units and junks whole atoms in runs, one search of the spectrum's
@@ -26,6 +25,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -350,25 +350,25 @@ def optimal_threshold(s: Spectrum, eps: float, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Round-trip simulation: samples are numpy arrays, so these functions import
-# numpy when called; nothing else in the package does.
+# Round-trip simulation
 
 
-def _nearest_atoms(s: Spectrum, lp):
-    """Index of the atom nearest each log probability (a numpy array); one that
-    is farther than 1e-9 (relative) from every atom, or -inf, matches none and
-    is refused."""
-    import numpy as np
+def _nearest_atoms(s: Spectrum, lps: Sequence[float]) -> list[int]:
+    """Index of the atom nearest each log probability; one that is farther
+    than 1e-9 (relative) from every atom, or -inf, matches none and is
+    refused."""
+    descending, last = s.log_probs, len(s) - 1
 
-    descending = np.asarray(s.log_probs)  # atoms are sorted by descending log prob
-    idx = np.searchsorted(-descending, -lp, side="left")
-    idx = np.clip(idx, 0, len(descending) - 1)
-    alt = np.clip(idx - 1, 0, len(descending) - 1)
-    take_alt = np.abs(descending[alt] - lp) < np.abs(descending[idx] - lp)
-    idx = np.where(take_alt, alt, idx)
-    if np.any(np.isinf(lp) | (np.abs(descending[idx] - lp) > 1e-9 * np.maximum(1.0, np.abs(lp)))):
-        raise ValidationError("samples: a sequence does not match any spectrum atom")
-    return idx
+    def nearest(lp: float) -> int:
+        i = min(bisect.bisect_left(descending, -lp, key=operator.neg), last)
+        if i and abs(descending[i - 1] - lp) < abs(descending[i] - lp):
+            i -= 1
+        if lp == -math.inf or abs(descending[i] - lp) > 1e-9 * max(1.0, abs(lp)):
+            raise ValidationError("samples: a sequence does not match any spectrum atom")
+        return i
+
+    atom_of = {lp: nearest(lp) for lp in set(lps)}
+    return list(map(atom_of.__getitem__, lps))
 
 
 def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows) -> list[int]:
@@ -381,20 +381,19 @@ def _atom_ranks(s: Spectrum, d: Distribution, atom: int, rows) -> list[int]:
     symbols before j and v < sig[j] on symbol j, level L has r_L of its total
     left for its m_L free symbols, and by the multinomial theorem those
     sequences number n! / (prod fixed k! * v! * prod r_L!) * prod m_L ** r_L.
-    ``rows`` is a numpy int array.
+    ``rows`` is a sequence of rows of integer symbols.
     """
-    import numpy as np
-
     values, mults, types = level_types(d, s.n)
-    kinds = np.fromiter(itertools.chain.from_iterable(ks for ks, _ in types),
-                        dtype=np.int64).reshape(-1, len(values))
-    in_atom = kinds[_nearest_atoms(s, kinds @ np.log(values)) == atom].tolist()
-    probs = np.asarray(d.probs)
-    level = np.where(probs > 0.0, np.searchsorted(values, probs), -1).tolist()
+    kinds = [ks for ks, _ in types]
+    logs = list(map(math.log, values))
+    atoms = _nearest_atoms(s, [sum(map(operator.mul, ks, logs)) for ks in kinds])
+    in_atom = [ks for ks, i in zip(kinds, atoms) if i == atom]
+    level = [bisect.bisect_left(values, q) if q > 0.0 else -1 for q in d.probs]
     fact = list(itertools.accumulate(range(1, s.n + 1), operator.mul, initial=1))
     ranks = []
-    for row in rows.tolist():
-        sig = np.bincount(row, minlength=d.alphabet_size).tolist()
+    for row in rows:
+        tally = Counter(row)
+        sig = [tally[j] for j in range(d.alphabet_size)]
         rank, fixed, free, denom, live = 0, [0] * len(mults), list(mults), 1, in_atom
         for j, top in enumerate(sig):
             lj = level[j]
@@ -431,41 +430,43 @@ def simulate_roundtrip(c: CodeSpec, d: Distribution, samples,
                        eta: float) -> tuple[float, float]:
     """Empirical (error rate, overflow rate at eta) of the code on drawn samples.
 
-    ``samples`` is an integer array of shape (count, n), as ``sample_sequences``
-    draws.  The decoded part of a partially covered atom is pinned to the
+    ``samples`` holds ``count`` rows of n integer symbols: the draws of
+    ``sample_sequences``, a numpy array of shape (count, n), or a list of
+    rows.  The decoded part of a partially covered atom is pinned to the
     first sequences of the atom in signature-major order (type signature
     ascending, then lexicographic arrangement), so two runs on the same
     samples always agree.  Sequences are matched to atoms by their log
     probability.
     """
-    import numpy as np
-
     check_range("eta", eta, 1, math.inf)
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] != c.n:
+    rows = samples.tolist() if hasattr(samples, "tolist") else samples
+    if (not isinstance(rows, (list, tuple)) or not set(map(type, rows)) <= {list, tuple}
+            or set(map(len, rows)) - {c.n}):
         raise ValidationError(f"samples: expected shape (count, {c.n})")
-    if len(samples) == 0:
+    if not rows:
         raise ValidationError("samples: need at least one row")
-    if samples.dtype.kind not in "iu" or samples.min() < 0 or samples.max() >= d.alphabet_size:
-        raise ValidationError(f"samples: need integer symbols in [0, {d.alphabet_size})")
+    refused = ValidationError(f"samples: need integer symbols in [0, {d.alphabet_size})")
+    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+        raise refused
+    # Each row's log probability; a zero-probability symbol makes it -inf.
+    lnp = {j: math.log(q) if q > 0.0 else -math.inf for j, q in enumerate(d.probs)}
+    try:
+        lps = [sum(map(lnp.__getitem__, row)) for row in rows]
+    except KeyError:  # a symbol outside [0, alphabet_size)
+        raise refused from None
     s, sel = c.spectrum, c.selection
-    with np.errstate(divide="ignore"):
-        lnp = np.log(np.asarray(d.probs))
-    idx = _nearest_atoms(s, lnp[samples].sum(axis=1))
+    idx = _nearest_atoms(s, lps)
 
     # Atoms [0, b) are decoded whole; atom b, when decoded, is split unless
     # its slice is the whole atom (a one-sequence atom).
     b, decoded = sel.full_atoms, len(c.lengths)
     whole = b + int(decoded > b and sel.boundary_taken >= s.counts[b])
-    is_full = idx < whole
-    is_none = idx >= decoded
-    errors = int(np.count_nonzero(is_none))
-    overflows = int(np.count_nonzero(np.asarray(c.lengths)[idx[is_full]] > eta))
-
-    split_rows = np.flatnonzero(~(is_full | is_none))
-    if len(split_rows):
-        ranks = _atom_ranks(s, d, b, samples[split_rows])
+    hits = Counter(idx)
+    errors = sum(k for i, k in hits.items() if i >= decoded)
+    overflows = sum(k for i, k in hits.items() if i < whole and c.lengths[i] > eta)
+    if whole < decoded and hits[b]:
+        ranks = _atom_ranks(s, d, b, [row for row, i in zip(rows, idx) if i == b])
         kept = sum(rank < sel.boundary_taken for rank in ranks)
-        errors += len(split_rows) - kept
+        errors += hits[b] - kept
         overflows += kept * int(c.lengths[b] > eta)
-    return errors / len(samples), overflows / len(samples)
+    return errors / len(rows), overflows / len(rows)

@@ -23,7 +23,6 @@ probability levels hold equally many symbols, the counts of (k, r - k) and
 reuses the same integers.
 All logarithms are kept in nats internally; rates are converted to base-K
 units (K = the code alphabet size carried by the source) at the API surface.
-Only ``sample_sequences`` imports numpy, for its random generator.
 """
 
 from __future__ import annotations
@@ -32,13 +31,14 @@ import itertools
 import math
 import numbers
 import operator
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._util import (ABOVE_ZERO, UNIT_BITS, FloatTotals, RunningTotals, check_int, check_range,
-                    column, exact_units)
+from ._util import (ABOVE_ZERO, UNIT_BITS, RunningTotals, check_int, check_range, column,
+                    column_units, exact_units)
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -191,11 +191,13 @@ class Spectrum:
             raise NumericError(f"atom mass {heaviest!r} outside [0, 1]")
         object.__setattr__(self, "log_probs", lps)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "masses", column("d", map(math.exp, exponents)))
+        masses = column("d", map(math.exp, exponents))
+        object.__setattr__(self, "masses", masses)
         # Every tail, tradeoff and code sums masses exactly, so their running
         # totals are built here: the first query on a spectrum then costs what
         # a later one does, instead of paying for the whole column.
-        object.__setattr__(self, "mass_units", FloatTotals(self.masses))
+        object.__setattr__(self, "mass_units", RunningTotals(
+            lambda lo, hi: column_units(masses[lo:hi]), len(masses)))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -276,8 +278,7 @@ class Spectrum:
         return self._count_totals.total
 
 
-def _type_classes(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]] = ()
-                  ) -> Iterator[tuple]:
+def _type_classes(n: int, mults: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every type of n symbols over len(mults) probability levels, with its size.
 
     Iterates ``(ks, count)`` for each vector ks of nonnegative ints summing to
@@ -288,17 +289,12 @@ def _type_classes(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]]
     divide.  When the last two levels hold equally many symbols, the split
     (k, rem - k) has the count of (rem - k, k): only the first half is
     computed and the second half yields the same int objects in reverse.
-
-    Each row of integer ``weights`` (one int per level) appends the exact sum
-    sum_j k_j * w_j to the tuple: ``(ks, count, x)`` for one row, ``(ks,
-    count, x, y)`` for two.  Along the last two levels a sum steps by one
-    constant, so it costs one big-integer add per type.
     """
     if len(mults) == 1:
-        return iter([((n,), int(mults[0]) ** n, *(n * w[0] for w in weights))])
-    return ((prefix + (k, len(counts) - 1 - k), *row)
-            for prefix, counts, *sums in _type_runs(n, mults, weights)
-            for k, row in enumerate(zip(counts, *sums)))
+        return iter([((n,), int(mults[0]) ** n)])
+    return ((prefix + (k, len(counts) - 1 - k), count)
+            for prefix, counts in _type_runs(n, mults)
+            for k, count in enumerate(counts))
 
 
 def _type_runs(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]] = ()
@@ -310,6 +306,10 @@ def _type_runs(n: int, mults: Sequence[int], weights: Sequence[Sequence[int]] = 
     iterator of weighted sums per row of ``weights``.  Builds read whole
     runs, which costs far less per type than one tuple each.  One level is
     one run of the single type (n,) with an empty prefix.
+
+    Each row of integer ``weights`` (one int per level) gives the exact sum
+    sum_j k_j * w_j of every type in the run.  Along the last two levels a
+    sum steps by one constant, so it costs one big-integer add per type.
     """
     mults = [int(m) for m in mults]
     if len(mults) == 1:
@@ -421,7 +421,7 @@ def _finish_spectrum(n: int, base: int, lps: list[float], counts: list[int],
             pos = i + 1
         lps, counts = merged_lps + lps[pos:], merged_counts + counts[pos:]
     built = Spectrum(n=n, base=base, log_probs=lps, counts=counts)
-    mass = math.fsum(built.masses)
+    mass = built.mass_sum(0)
     if abs(mass - 1.0) > mass_tol:
         raise NumericError(f"spectrum mass {mass!r} deviates from 1 beyond {mass_tol}")
     if built.total_count != total:
@@ -578,13 +578,17 @@ def switching_spectrum(schedule: SwitchingSchedule, n: int, *,
     return iid_spectrum(d, n, type_ceiling=type_ceiling)
 
 
-def sample_sequences(d: Distribution, n: int, count: int, seed: int):
-    """Draw ``count`` i.i.d. length-n symbol sequences: a numpy int array of
-    shape (count, n), from numpy's default generator seeded with ``seed``."""
+def sample_sequences(d: Distribution, n: int, count: int, seed: int) -> memoryview:
+    """Draw ``count`` i.i.d. length-n symbol sequences from ``random.Random(seed)``.
+
+    Returns a read-only int64 column of shape (count, n): ``tolist`` gives
+    the rows and ``numpy.asarray`` one (count, n) array.  Only symbols of
+    positive probability are drawn.
+    """
     n = check_int("n", n, 1)
     count = check_int("count", count, 1)
     seed = check_int("seed", seed, 0)
-    import numpy as np  # only sampling needs numpy; importing the package must not
-
-    rng = np.random.default_rng(seed)
-    return rng.choice(d.alphabet_size, size=(count, n), p=np.asarray(d.probs))
+    symbols = [j for j, q in enumerate(d.probs) if q > 0.0]
+    cum = list(itertools.accumulate(d.probs[j] for j in symbols))
+    draws = random.Random(seed).choices(symbols, cum_weights=cum, k=count * n)
+    return column("q", draws).cast("B").cast("q", (count, n))

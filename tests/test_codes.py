@@ -701,6 +701,19 @@ def test_simulate_is_deterministic():
     assert simulate_roundtrip(c, d, samples, 3) == simulate_roundtrip(c, d, samples, 3)
 
 
+@pytest.mark.parametrize("probs, n, eps", [((0.3, 0.7), 6, 0.1), ((0.2, 0.3, 0.5), 5, 0.2),
+                                           ((0.1, 0.0, 0.4, 0.5), 4, 0.3)])
+def test_simulate_reads_draws_arrays_and_lists_alike(probs, n, eps):
+    from overflowlab import sample_sequences
+    d = make_distribution(list(probs))
+    c = construct_code(iid_spectrum(d, n), eps)
+    draws = sample_sequences(d, n, 300, seed=5)
+    for eta in c.lengths.tolist():
+        expected = simulate_roundtrip(c, d, draws, eta)
+        assert simulate_roundtrip(c, d, np.asarray(draws), eta) == expected
+        assert simulate_roundtrip(c, d, draws.tolist(), eta) == expected
+
+
 def test_simulate_validation():
     d = make_distribution([0.3, 0.7])
     c = construct_code(iid_spectrum(d, 2), 0.1)
@@ -726,9 +739,31 @@ def test_simulate_validation():
         simulate_roundtrip(construct_code(iid_spectrum(z, 3), 0.3), z, np.array([[1, 1, 1]]), 10)
 
 
+@pytest.mark.parametrize("samples, match", [
+    ([[0, 1], [0]], "expected shape"),                  # ragged
+    ([0, 1], "expected shape"),                         # one flat row
+    (5, "expected shape"),
+    ("ab", "expected shape"),
+    ([["a", "b"]], "integer symbols"),
+    ([[0, 1.0]], "integer symbols"),
+    ([[True, False]], "integer symbols"),
+    ([[0, [1]]], "integer symbols"),
+    ([[0, -1]], "integer symbols"),
+    (np.array([[1.0, 0.0]]), "integer symbols"),
+    (np.array([[True, False]]), "integer symbols"),
+], ids=["ragged", "flat", "scalar", "string", "strings", "float", "bool", "nested",
+        "negative", "float-array", "bool-array"])
+def test_simulate_refuses_malformed_rows(samples, match):
+    d = make_distribution([0.3, 0.7])
+    c = construct_code(iid_spectrum(d, 2), 0.1)
+    with pytest.raises(ValidationError, match=match):
+        simulate_roundtrip(c, d, samples, 2)
+
+
 def _simulate_loop(c, d, samples, eta):
     """Reference: the per-assignment mask loop the column version replaced."""
     s = c.spectrum
+    samples = np.asarray(samples)
     with np.errstate(divide="ignore"):
         lnp = np.log(np.asarray(d.probs))
     lp = lnp[samples].sum(axis=1)

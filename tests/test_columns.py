@@ -1,4 +1,4 @@
-"""Read-only stdlib columns, and numpy kept off the import path."""
+"""Read-only stdlib columns, and a package that never imports numpy."""
 
 import ast
 import copy
@@ -14,7 +14,7 @@ import pytest
 
 import overflowlab
 from overflowlab import (code_overflow, construct_code, iid_spectrum, make_distribution,
-                         mixed_spectrum)
+                         mixed_spectrum, sample_sequences)
 
 SRC = pathlib.Path(overflowlab.__file__).resolve().parent
 
@@ -74,11 +74,15 @@ def test_import_loads_no_numpy(tmp_path):
     """, tmp_path) == ["False"]
 
 
-def test_cli_commands_load_numpy_only_to_simulate(tmp_path):
-    # Each command runs in process through cli.main; after the seven exact
-    # commands numpy is still unloaded, and simulate loads it.
+def _write_sources(tmp_path):
     (tmp_path / "iid.cfg").write_text("probs = 0.3, 0.7\n")
     (tmp_path / "switch.cfg").write_text("model = switching\nprobs = 0.2, 0.8\nprobs2 = 0.4, 0.6\n")
+
+
+def test_cli_commands_load_no_numpy(tmp_path):
+    # All eight commands run in process through cli.main, simulate included;
+    # numpy is still unloaded after the last.
+    _write_sources(tmp_path)
     out = _fresh_python("""
         import contextlib, io, sys
         from overflowlab.cli import main
@@ -94,46 +98,60 @@ def test_cli_commands_load_numpy_only_to_simulate(tmp_path):
              "--n-grid", "8,16,32,64"],
             ["asymptotics", "--source", "iid.cfg", "--eps", "0.1", "--delta", "0.1",
              "--rate", "H"],
+            ["simulate", "--source", "iid.cfg", "--n", "8", "--eps", "0.1", "--eta", "8",
+             "--samples", "100"],
         ]
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
-        print("numpy" in sys.modules)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", "--source", "iid.cfg", "--n", "8", "--eps", "0.1",
-                         "--eta", "8", "--samples", "100"]) == 0
-        print("numpy" in sys.modules)
+        print(len(runs), "numpy" in sys.modules)
     """, tmp_path)
-    assert out == ["False", "True"]
+    assert out == ["8", "False"]
 
 
-# The functions that take or return numpy arrays; nothing else imports numpy.
-NUMPY_FUNCTIONS = {"sources.py": {"sample_sequences"},
-                   "codes.py": {"_nearest_atoms", "_atom_ranks", "simulate_roundtrip"}}
+def test_sampling_and_simulate_run_with_numpy_unimportable(tmp_path):
+    _write_sources(tmp_path)
+    out = _fresh_python("""
+        import contextlib, io, sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        from overflowlab import make_distribution, sample_sequences
+        from overflowlab.cli import main
+        draws = sample_sequences(make_distribution([0.2, 0.3, 0.5]), 5, 7, seed=1)
+        print(draws.shape == (7, 5))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--source", "iid.cfg", "--n", "8", "--eps", "0.1",
+                         "--eta", "8", "--samples", "100"])
+        print(code)
+    """, tmp_path)
+    assert out == ["True", "0"]
 
 
-def test_numpy_is_imported_only_inside_the_sampling_functions():
-    found = {}
+def test_draws_for_a_seed_are_the_same_in_a_fresh_interpreter(tmp_path):
+    d = make_distribution([0.2, 0.0, 0.3, 0.5])
+    draws = sample_sequences(d, 9, 40, seed=12345)
+    assert draws.readonly and draws.format == "q" and draws.shape == (40, 9)
+    out = _fresh_python("""
+        from overflowlab import make_distribution, sample_sequences
+        draws = sample_sequences(make_distribution([0.2, 0.0, 0.3, 0.5]), 9, 40, seed=12345)
+        print(draws.tobytes().hex())
+    """, tmp_path)
+    assert out == [draws.tobytes().hex()]
+    assert 1 not in draws.cast("B").cast("q").tolist()
+
+
+def test_no_module_imports_numpy():
+    found = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                child.parent = node
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
                 continue
-            if not any(name.split(".")[0] == "numpy" for name in names):
-                continue
-            scope = node
-            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
-                scope = scope.parent
-            found.setdefault(path.name, set()).add(
-                scope.name if isinstance(scope, ast.FunctionDef) else "<module>")
-    assert found == NUMPY_FUNCTIONS
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("probs, n, eps", [((0.3, 0.7), 200, 0.1), ((0.2, 0.3, 0.5), 30, 0.05),

@@ -38,7 +38,7 @@ from overflowlab import (
     validate_counting_condition,
 )
 from overflowlab import sources
-from overflowlab._util import FloatTotals, RunningTotals, column, column_units, exact_units
+from overflowlab._util import RunningTotals, column, column_units, exact_units
 
 
 GRID = orc.grid_distributions()
@@ -338,15 +338,15 @@ def test_exact_units_and_column_units_are_exact():
         assert column_units(col[lo:]) == [exact_units(v) for v in values[lo:]]
 
 
-def test_float_totals_are_exact_across_the_switch_to_bit_patterns():
-    # Narrow blocks are summed by fsum rounds; the wide block (values 1000
-    # binades apart) switches the rest to bit patterns, narrow ones included.
-    block = FloatTotals.BLOCK
+def test_mass_totals_are_exact_over_narrow_zero_wide_and_subnormal_blocks():
+    # Blocks of values within a few binades, of zeros, of values 1000 binades
+    # apart, and a tail of subnormals, all summed from their bit patterns.
+    block = RunningTotals.BLOCK
     narrow = [0.1 * (1 + k / 7) for k in range(block)]
     wide = [(1e-300 if k % 2 else 0.3) * (1 + k / 5) for k in range(block)]
     values = narrow + [0.0] * block + wide + narrow + [5e-324, 1.5e-310, 0.2]
-    totals = FloatTotals(column("d", values))
-    assert not totals._narrow
+    col = column("d", values)
+    totals = RunningTotals(lambda lo, hi: column_units(col[lo:hi]), len(values))
     cum = list(itertools.accumulate(Fraction(v) * 2 ** 1074 for v in values))
     assert [totals.through(i) for i in range(len(values))] == cum
     assert totals.total == cum[-1] and list(totals)[1:] == cum
@@ -688,11 +688,13 @@ def test_log_units_weigh_zero_probabilities_below_every_live_sum():
        st.lists(st.integers(-(1 << 120), 1 << 120), min_size=8, max_size=8))
 @example([1, 1, 1], 1, [5, -7, 0, 0, 0, 0, 0, 0])   # rem = 0 and rem = 1 on the last two
 @example([2, 2], 4, [3, 3, 1, 1, 0, 0, 0, 0])       # equal weights on the last two levels
-def test_type_classes_carry_exact_weighted_sums(mults, n, pool):
+def test_type_runs_carry_exact_weighted_sums(mults, n, pool):
     rows = [pool[:len(mults)], pool[4:4 + len(mults)]]
     plain = list(sources._type_classes(n, mults))
     for r in (1, 2):
-        got = list(sources._type_classes(n, mults, rows[:r]))
+        got = [((n,) if len(mults) == 1 else prefix + (k, len(counts) - 1 - k), *row)
+               for prefix, counts, *sums in sources._type_runs(n, mults, rows[:r])
+               for k, row in enumerate(zip(counts, *sums))]
         assert [t[:2] for t in got] == plain
         assert [t[2:] for t in got] == [tuple(sum(map(operator.mul, ks, w)) for w in rows[:r])
                                         for ks, _ in plain]
@@ -837,7 +839,7 @@ def test_switching_rejects_bad_rule_output():
 
 def test_sample_sequences_shape_and_range():
     d = make_distribution([0.3, 0.7, 0.0])
-    draws = sample_sequences(d, 11, 500, seed=3)
+    draws = np.asarray(sample_sequences(d, 11, 500, seed=3))
     assert draws.shape == (500, 11)
     assert draws.min() >= 0
     assert draws.max() <= 1  # the zero-probability symbol never appears
@@ -845,15 +847,15 @@ def test_sample_sequences_shape_and_range():
 
 def test_sample_sequences_deterministic_per_seed():
     d = make_distribution([0.25, 0.75])
-    a = sample_sequences(d, 6, 100, seed=9)
-    b = sample_sequences(d, 6, 100, seed=9)
-    c = sample_sequences(d, 6, 100, seed=10)
+    a = np.asarray(sample_sequences(d, 6, 100, seed=9))
+    b = np.asarray(sample_sequences(d, 6, 100, seed=9))
+    c = np.asarray(sample_sequences(d, 6, 100, seed=10))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_sequences_frequency_sane():
     d = make_distribution([0.3, 0.7])
-    draws = sample_sequences(d, 4, 50000, seed=0)
+    draws = np.asarray(sample_sequences(d, 4, 50000, seed=0))
     freq = float(np.mean(draws == 0))
     assert abs(freq - 0.3) < 0.01
