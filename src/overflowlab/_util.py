@@ -1,6 +1,6 @@
-"""Small numeric helpers: range and integer checks, read-only columns, guarded
-integer splits, and exact summation, with running totals of ints kept at
-block edges.  Standard library only."""
+"""Small numeric helpers: range and integer checks, immutable base classes,
+read-only columns, guarded integer splits, and exact summation, with running
+totals of ints kept at block edges.  Standard library only."""
 
 from __future__ import annotations
 
@@ -45,6 +45,32 @@ def check_int(name: str, x, lo: float) -> int:
         raise ValidationError(f"{name}: must be an integer, got {x!r}") from None
     check_range(name, value, lo, math.inf)
     return value
+
+
+class Frozen:
+    """Base of the validated classes: ``__init__`` writes the attributes into
+    the instance dict once; after that none is set or deleted."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FrozenValue(Frozen):
+    """A Frozen class that compares, hashes and prints by its attributes, in
+    the order ``__init__`` wrote them; it caches nothing in its dict."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({shown})"
 
 
 def column(typecode: str, values: Iterable) -> memoryview:

@@ -9,9 +9,7 @@ so they stay honest to the finite-n machinery rather than sampling it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._util import ABOVE_ONE, ABOVE_ZERO, check_budgets, check_int, check_range
 from .codes import optimal_threshold
@@ -56,6 +54,7 @@ def q_upper_inv(gamma: float) -> float:
         return math.inf
     if gamma == 1.0:
         return -math.inf
+    from statistics import NormalDist  # imported here: it loads fractions and decimal
     return -NormalDist().inv_cdf(gamma)
 
 
@@ -116,8 +115,7 @@ def second_order_at_mean_length(d: Distribution, eps: float, delta: float) -> fl
     return math.inf
 
 
-@dataclass(frozen=True)
-class ConvergenceSample:
+class ConvergenceSample(NamedTuple):
     """Exact threshold at one blocklength, with its centered second-order term."""
 
     n: int
@@ -128,8 +126,7 @@ class ConvergenceSample:
     second_order_gap: float  # |centered - limit|, inf when the limit is infinite
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Exact thresholds along a blocklength grid against the Gaussian limit.
 
     ``limit`` is the predicted value of the centered threshold at the entropy
@@ -195,8 +192,7 @@ def convergence_study(d: Distribution, eps: float, delta: float,
                             mean_length_const=ml_const, samples=tuple(samples))
 
 
-@dataclass(frozen=True)
-class OptimisticSample:
+class OptimisticSample(NamedTuple):
     """Exact threshold at one blocklength of a switching source."""
 
     n: int
@@ -205,8 +201,7 @@ class OptimisticSample:
     rate: float
 
 
-@dataclass(frozen=True)
-class OptimisticReport:
+class OptimisticReport(NamedTuple):
     """Threshold rates of a switching source along a grid.
 
     ``limsup_rate`` and ``liminf_rate`` are estimated over the tail of the

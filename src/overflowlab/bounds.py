@@ -12,8 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._util import ABOVE_ONE, ABOVE_ZERO, check_range
 from .codes import _decode_selection, code_overflow, construct_code, optimal_tradeoff
@@ -86,8 +85,7 @@ def second_order_slack(gamma: float, base: int) -> Callable[[int], float]:
     return lambda n: base ** (-math.sqrt(n) * gamma)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bounds and exact values for one (eta, eps) pair.
 
     ``upper`` and ``lower`` are raw bound values (the upper may exceed 1 and

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._util import check_range
 from .asymptotics import (AsymptoticReport, OptimisticReport, convergence_study,
@@ -40,8 +40,7 @@ __all__ = ["main", "parse_source_config", "SourceConfig"]
 # Source config files
 
 
-@dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(NamedTuple):
     """Parsed source description: a model tag plus its distributions."""
 
     model: str  # "iid" | "mixture" | "switching"

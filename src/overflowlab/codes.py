@@ -26,12 +26,11 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from ._util import (SPLIT_GUARD, UNIT_BITS, check_budgets, check_int, check_range, column,
-                    count_mass, exact_units, split_count)
+from ._util import (SPLIT_GUARD, UNIT_BITS, Frozen, check_budgets, check_int, check_range,
+                    column, count_mass, exact_units, split_count)
 from .errors import ValidationError
 from .sources import Distribution, Spectrum, level_types
 from .tails import (PrefixSelection, selection_log_mass, selection_mass_from,
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """``count`` sequences of spectrum atom ``atom`` get codewords of ``length``."""
 
     atom: int
@@ -75,43 +73,23 @@ class _CanonicalLengths(NamedTuple):
         return column("q", lengths)
 
 
-class _Lengths:
-    """``CodeSpec.lengths``, a data descriptor over ``_lengths`` in the
-    instance dict.  A code built by ``construct_code`` holds its length rule
-    there until the column is first read; searches ask the rule for the few
-    lengths they probe, so a code that is only queried builds no column."""
-
-    def __get__(self, code, owner=None):
-        if code is None:
-            raise AttributeError("lengths")  # so the dataclass field has no default
-        lengths = code.__dict__["_lengths"]
-        if isinstance(lengths, _CanonicalLengths):
-            lengths = code.__dict__["_lengths"] = lengths.column()
-        return lengths
-
-    def __set__(self, code, lengths) -> None:
-        code.__dict__["_lengths"] = lengths
-
-
-@dataclass(frozen=True, eq=False)
-class CodeSpec:
+class CodeSpec(Frozen):
     """A deterministic code at type granularity, compared by identity.
 
-    ``selection`` is the decode set and ``lengths[i]`` the codeword length of
-    decoded atom i, non-decreasing since heavier atoms never get longer
-    codewords.  Within a split atom the decoded part is, by convention, the
-    lexicographically smallest sequences of the atom (signature-major order);
-    the convention only matters to the simulator, never to any probability.
+    ``selection`` is the decode set of ``spectrum``, ``error_mass`` the mass
+    outside it, and ``lengths[i]`` the codeword length of decoded atom i,
+    non-decreasing since heavier atoms never get longer codewords.  Within a
+    split atom the decoded part is, by convention, the lexicographically
+    smallest sequences of the atom (signature-major order); the convention
+    only matters to the simulator, never to any probability.  A code built
+    by ``construct_code`` holds its length rule in ``_lengths`` until
+    ``lengths`` is first read; searches ask the rule for the few lengths
+    they probe, so a code that is only queried builds no column.
     """
 
-    spectrum: Spectrum
-    selection: PrefixSelection
-    lengths: Sequence[int] = _Lengths()
-    error_mass: float
-
-    def __post_init__(self) -> None:
-        lengths = self.__dict__["_lengths"]
-        decoded = self.selection.full_atoms + (self.selection.boundary_taken > 0)
+    def __init__(self, spectrum: Spectrum, selection: PrefixSelection,
+                 lengths: Sequence[int] | _CanonicalLengths, error_mass: float) -> None:
+        decoded = selection.full_atoms + (selection.boundary_taken > 0)
         if isinstance(lengths, _CanonicalLengths):
             ok = len(lengths.log_probs) == decoded  # non-decreasing by construction
         else:
@@ -123,11 +101,19 @@ class CodeSpec:
             ok = values is not None and len(values) == decoded and values == sorted(values)
         if not ok or decoded == 0:
             raise ValidationError("lengths: need one per decoded atom (>= 1), non-decreasing")
-        self.__dict__["_lengths"] = lengths
+        vars(self).update(spectrum=spectrum, selection=selection, _lengths=lengths,
+                          error_mass=error_mass)
+
+    @property
+    def lengths(self) -> Sequence[int]:
+        """The read-only int64 column of codeword lengths, built on first read."""
+        if isinstance(self._lengths, _CanonicalLengths):
+            self.__dict__["_lengths"] = self._lengths.column()
+        return self._lengths
 
     def _first_longer(self, eta: float) -> int:
         """Index of the first decoded atom whose codeword is longer than ``eta``."""
-        lengths = self.__dict__["_lengths"]
+        lengths = self._lengths
         if isinstance(lengths, _CanonicalLengths):
             return bisect.bisect_right(range(len(lengths.log_probs)), eta, key=lengths)
         return bisect.bisect_right(lengths, eta)
@@ -204,8 +190,7 @@ def code_overflow(c: CodeSpec, eta: float) -> float:
     return selection_mass_from(c.spectrum, c.selection, first)
 
 
-@dataclass(frozen=True)
-class CountingReport:
+class CountingReport(NamedTuple):
     """Result of checking the counting condition at every length threshold."""
 
     ok: bool
@@ -241,8 +226,7 @@ def validate_counting_condition(c: CodeSpec) -> CountingReport:
     return CountingReport(ok=True, first_violation=None)
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     """One point of the exact overflow/error tradeoff."""
 
     n: int

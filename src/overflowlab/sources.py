@@ -33,12 +33,11 @@ import numbers
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._util import (ABOVE_ZERO, UNIT_BITS, RunningTotals, check_int, check_range, column,
-                    column_units, exact_units)
+from ._util import (ABOVE_ZERO, UNIT_BITS, Frozen, FrozenValue, RunningTotals, check_int,
+                    check_range, column, column_units, exact_units)
 from .errors import CeilingExceeded, NumericError, ValidationError
 
 # Number of type classes (after collapsing equal-probability symbols) a single
@@ -74,26 +73,26 @@ def _total(p: Sequence[float]) -> float:
     return reduce(operator.add, p, 0.0)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(FrozenValue):
     """A probability vector over a finite alphabet plus the code base K.
 
     ``probs`` is stored as a tuple of floats and ``base`` as an int >= 2.
+    Instances are immutable and compare and hash by value.
     """
 
     probs: tuple[float, ...]
     base: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", check_int("base", self.base, 2))
-        p = tuple(_prob_list(self.probs))
+    def __init__(self, probs: Iterable[float], base: int) -> None:
+        base = check_int("base", base, 2)
+        p = tuple(_prob_list(probs))
         if not all(map(math.isfinite, p)):
             raise ValidationError("probs: non-finite entry")
         if min(p) < 0.0:
             raise ValidationError("probs: negative entry")
         if abs(_total(p) - 1.0) > 1e-12:
             raise ValidationError(f"probs: sum {_total(p)!r} is not 1 (normalize first)")
-        object.__setattr__(self, "probs", p)
+        vars(self).update(probs=p, base=base)
 
     @property
     def alphabet_size(self) -> int:
@@ -140,36 +139,29 @@ class SpectrumAtom(NamedTuple):
     mass: float              # count * exp(log_prob_per_seq)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Frozen):
     """Exact block self-information spectrum at type-class granularity.
 
     Atom i has per-sequence log probability ``log_probs[i]`` (nats, strictly
     decreasing, equivalently strictly increasing rate), ``counts[i]``
     sequences (exact ints) and total probability ``masses[i]``, which is
     derived from the other two.  ``log_probs``, ``masses`` and ``rates`` are
-    read-only float columns (``_util.column``).  Instances are immutable
-    after construction and safe to share; they compare and hash by identity.
+    read-only float columns (``_util.column``); ``mass_units`` holds the exact
+    running totals of ``masses`` in units of 2**-UNIT_BITS.  Instances are
+    immutable after construction and safe to share; they compare and hash by
+    identity.
     """
 
-    n: int
-    base: int
-    log_probs: Sequence[float]
-    counts: tuple[int, ...]
-    masses: Sequence[float] = field(init=False)
-    # Exact running totals of ``masses`` in units of 2**-UNIT_BITS.
-    mass_units: RunningTotals = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_int("n", self.n, 1))
-        object.__setattr__(self, "base", check_int("base", self.base, 2))
+    def __init__(self, n: int, base: int, log_probs: Iterable[float],
+                 counts: Iterable[int]) -> None:
+        n, base = check_int("n", n, 1), check_int("base", base, 2)
         # The checks read a list: iterating one is faster than a column.
-        values = list(self.log_probs)
+        values = list(log_probs)
         try:
             lps = column("d", values)
         except TypeError:
             raise NumericError("log probabilities: need a flat sequence of floats") from None
-        counts = tuple(self.counts)
+        counts = tuple(counts)
         if len(lps) == 0:
             raise NumericError("spectrum has no atoms")
         if len(lps) != len(counts):
@@ -189,15 +181,13 @@ class Spectrum:
         heaviest = math.exp(min(max(exponents), 1.0))
         if heaviest > 1.0 + 1e-9:
             raise NumericError(f"atom mass {heaviest!r} outside [0, 1]")
-        object.__setattr__(self, "log_probs", lps)
-        object.__setattr__(self, "counts", counts)
         masses = column("d", map(math.exp, exponents))
-        object.__setattr__(self, "masses", masses)
         # Every tail, tradeoff and code sums masses exactly, so their running
         # totals are built here: the first query on a spectrum then costs what
         # a later one does, instead of paying for the whole column.
-        object.__setattr__(self, "mass_units", RunningTotals(
-            lambda lo, hi: column_units(masses[lo:hi]), len(masses)))
+        units = RunningTotals(lambda lo, hi: column_units(masses[lo:hi]), len(masses))
+        vars(self).update(n=n, base=base, log_probs=lps, counts=counts, masses=masses,
+                          mass_units=units)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -546,22 +536,29 @@ def ceil_log2_parity(n: int) -> int:
     return 0 if ((n - 1).bit_length() % 2 == 0) else 1
 
 
-@dataclass(frozen=True)
-class SwitchingSchedule:
+class SwitchingSchedule(FrozenValue):
     """A source that uses one of two i.i.d. components for the whole block.
 
     Which component is active depends only on the block length, through
     ``rule`` (data on the instance, not baked into the spectrum builder).
     The default rule alternates with the parity of ceil(log2 n): even picks
     the first component, odd the second, so a doubling n-grid alternates
-    components at every point.
+    components at every point.  Instances are immutable and compare and
+    hash by value.
     """
 
     components: tuple[Distribution, Distribution]
-    rule: Callable[[int], int] = field(default=ceil_log2_parity)
+    rule: Callable[[int], int]
 
-    def __post_init__(self) -> None:
-        _check_components(*self.components)
+    def __init__(self, components: Sequence[Distribution],
+                 rule: Callable[[int], int] = ceil_log2_parity) -> None:
+        pair = tuple(components) if isinstance(components, (tuple, list)) else ()
+        if len(pair) != 2 or not all(isinstance(d, Distribution) for d in pair):
+            raise ValidationError("components: need a pair of Distributions")
+        if not callable(rule):
+            raise ValidationError(f"rule: need a callable, got {rule!r}")
+        _check_components(*pair)
+        vars(self).update(components=pair, rule=rule)
 
     def active_component(self, n: int) -> int:
         idx = self.rule(n)

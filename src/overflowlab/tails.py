@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._util import UNIT_BITS, check_budgets, check_range, count_mass, exact_units, split_count
 from .errors import ValidationError
@@ -43,8 +43,7 @@ def tail_mass(s: Spectrum, rate: float, cmp: Comparator = Comparator.STRICT) -> 
     return s.mass_sum(_tail_start(s, rate, cmp))
 
 
-@dataclass(frozen=True)
-class PrefixSelection:
+class PrefixSelection(NamedTuple):
     """A top-probability set of sequences, possibly splitting one type class.
 
     Atoms ``[0, full_atoms)`` are taken whole; ``boundary_taken`` sequences
@@ -138,8 +137,7 @@ def smooth_max_entropy(s: Spectrum, gamma: float) -> float:
     return math.log(max(sel.num_sequences, 1)) / math.log(s.base)
 
 
-@dataclass(frozen=True)
-class RestrictedTailResult:
+class RestrictedTailResult(NamedTuple):
     """Outcome of the constrained tail minimization.
 
     value          : smallest achievable tail mass inside an admissible set

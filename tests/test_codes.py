@@ -859,14 +859,15 @@ def test_atom_ranks_equal_sorted_enumeration(probs, n):
 
 
 def test_code_queries_build_no_assignments(monkeypatch):
+    # Assignment is a NamedTuple: every construction goes through __new__.
     built = []
-    init = Assignment.__init__
+    new = Assignment.__new__
 
-    def counting_init(self, *args, **kwargs):
+    def counting_new(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Assignment, "__init__", counting_init)
+    monkeypatch.setattr(Assignment, "__new__", counting_new)
     c = construct_code(spectrum_of((0.11, 0.89), 20000), 0.05)
     for eta in (c.lengths[0], c.lengths[len(c.lengths) // 2], c.lengths[-1]):
         code_overflow(c, float(eta))

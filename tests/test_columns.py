@@ -1,4 +1,5 @@
-"""Read-only stdlib columns, and a package that never imports numpy."""
+"""Read-only stdlib columns, immutable classes and tuple records, and a package
+that never imports numpy, dataclasses or statistics at import time."""
 
 import ast
 import copy
@@ -13,8 +14,12 @@ import numpy as np
 import pytest
 
 import overflowlab
-from overflowlab import (code_overflow, construct_code, iid_spectrum, make_distribution,
-                         mixed_spectrum, sample_sequences)
+from overflowlab import (Distribution, SwitchingSchedule, code_overflow, construct_code,
+                         convergence_study, first_order_slack, iid_spectrum, make_distribution,
+                         mixed_spectrum, optimal_tradeoff, optimistic_study,
+                         restricted_tail_inf, sample_sequences, sandwich_sweep,
+                         top_probability_prefix, validate_counting_condition)
+from overflowlab.cli import SourceConfig
 
 SRC = pathlib.Path(overflowlab.__file__).resolve().parent
 
@@ -181,3 +186,106 @@ def test_spectra_and_codes_survive_pickle_and_copy(copy_of):
         assert c2.spectrum.masses.tobytes() == s.masses.tobytes()
         etas = [1.0, *(x + 0.5 for x in c.lengths.tolist())]
         assert [code_overflow(c2, e) for e in etas] == [code_overflow(c, e) for e in etas]
+
+
+def test_import_loads_no_dataclasses_statistics_or_inspect(tmp_path):
+    # The records are NamedTuples and the validated classes plain classes, so
+    # the import path needs neither dataclasses (which loads inspect) nor
+    # statistics (which loads fractions and decimal); q_upper_inv imports
+    # statistics on its first call and still gives the same quantile.
+    out = _fresh_python("""
+        import sys
+        before = set(sys.modules)
+        import overflowlab, overflowlab.cli
+        loaded = {"dataclasses", "statistics", "inspect"} & (set(sys.modules) - before)
+        print(",".join(sorted(loaded)) or "none", repr(overflowlab.q_upper_inv(0.1)))
+    """, tmp_path)
+    assert out == ["none", "1.2815515655446008"]
+
+
+def _imports(tree):
+    """(module name, inside a function body) of every import in a module."""
+    nested = {id(node) for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            yield name.split(".")[0], id(node) in nested
+
+
+def test_no_module_imports_dataclasses_and_statistics_only_in_a_function():
+    found = {(path.name, name, nested) for path in sorted(SRC.glob("*.py"))
+             for name, nested in _imports(ast.parse(path.read_text(encoding="utf-8")))
+             if name in ("dataclasses", "statistics")}
+    assert found == {("asymptotics.py", "statistics", True)}
+
+
+def _frozen_instances():
+    d = make_distribution([0.3, 0.7])
+    s = iid_spectrum(d, 10)
+    return {"distribution": d, "schedule": SwitchingSchedule((d, d)), "spectrum": s,
+            "code": construct_code(s, 0.1)}
+
+
+@pytest.mark.parametrize("name", list(_frozen_instances()))
+def test_validated_classes_refuse_setting_and_deleting(name):
+    obj = _frozen_instances()[name]
+    for attr in ("base", "n", "probs", "lengths", "spectrum", "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 3)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+
+
+def test_distributions_and_schedules_compare_and_hash_by_value():
+    d, e = make_distribution([0.3, 0.7]), Distribution((0.3, 0.7), 2)
+    assert d == e and hash(d) == hash(e) and len({d, e}) == 1
+    assert d != Distribution((0.3, 0.7), 3) and d != make_distribution([0.7, 0.3])
+    assert d != ((0.3, 0.7), 2)
+    assert repr(d) == "Distribution(probs=(0.3, 0.7), base=2)"
+    f = make_distribution([0.4, 0.6])
+    a, b = SwitchingSchedule((d, f)), SwitchingSchedule([e, f])
+    assert a == b and hash(a) == hash(b) and b.components == (d, f)
+    assert a != SwitchingSchedule((f, d)) and a != SwitchingSchedule((d, f), rule=lambda n: 0)
+    assert repr(a).startswith(f"SwitchingSchedule(components={(d, f)!r}, rule=<function")
+    for x in (d, a):
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_spectra_and_codes_compare_by_identity():
+    d = make_distribution([0.3, 0.7])
+    s, t = iid_spectrum(d, 10), iid_spectrum(d, 10)
+    c = construct_code(s, 0.1)
+    assert s == s and s != t and hash(s) == object.__hash__(s)
+    assert c == c and c != construct_code(s, 0.1) and hash(c) == object.__hash__(c)
+    assert copy.deepcopy(s) != s and copy.deepcopy(c) != c
+
+
+def _records():
+    d = make_distribution([0.3, 0.7])
+    s = iid_spectrum(d, 10)
+    code = construct_code(s, 0.1)
+    study = convergence_study(d, 0.1, 0.1, [8, 16])
+    switching = optimistic_study(SwitchingSchedule((d, d)), 0.1, 0.1, [8, 16])
+    return [study, study.samples[0], switching, switching.samples[0],
+            sandwich_sweep(s, 0.1, [6.0], first_order_slack(0.05, 2))[0],
+            SourceConfig("iid", d, None, None), code.assignments[0],
+            validate_counting_condition(code), optimal_tradeoff(s, 5, 0.1),
+            top_probability_prefix(s, 0.5), restricted_tail_inf(s, 0.1, 0.9)]
+
+
+def test_records_are_tuples_that_pickle_and_copy():
+    records = _records()
+    assert len({type(r) for r in records}) == 11
+    for r in records:
+        assert isinstance(r, tuple) and r == tuple(r)
+        for back in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert type(back) is type(r) and back == r
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], None)

@@ -833,6 +833,19 @@ def test_switching_rejects_bad_rule_output():
         sched.active_component(4)
 
 
+@pytest.mark.parametrize("args, message", [
+    (((_D, _D), 5), "rule: need a callable"),
+    (((_D,),), "components: need a pair"),
+    (((_D, [0.5, 0.5]),), "components: need a pair"),
+    (((_D, _D, _D),), "components: need a pair"),
+    ((_D,), "components: need a pair"),
+], ids=["rule-not-callable", "one-component", "list-component", "three-components",
+        "bare-distribution"])
+def test_switching_schedule_rejects_bad_input_by_name(args, message):
+    with pytest.raises(ValidationError, match=message):
+        SwitchingSchedule(*args)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
